@@ -69,7 +69,6 @@ from .synth import (
     TaskSpec,
     gen_frame,
     preprocess_stream,
-    shuffle_frames,
 )
 
 __version__ = "0.1.0"

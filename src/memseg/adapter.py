@@ -17,7 +17,6 @@ central finite differences by ``grad_check``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .kernels import (
     ACTIVATIONS,
     AttentionParams,
     ShapeError,
+    _float,
     attention_params,
     conv3d,
     conv3d_vjp,
@@ -198,48 +198,47 @@ def block_params(
 # forward
 
 
-def _check_input(x: np.ndarray, channels: int) -> None:
+def _as_input(x, channels: int) -> np.ndarray:
+    x = _float(x)
     if x.ndim != 4 or x.shape[-1] != channels:
         raise ShapeError(
             f"expected input (B, H, W, C={channels}), got {tuple(x.shape)}"
         )
+    return x
+
+
+def _adapter_cache(x_attn: np.ndarray, p: AdapterParams) -> dict[str, np.ndarray]:
+    # the bottleneck's intermediates; "branch" is x_attn + W_up(act(conv))
+    act, _ = ACTIVATIONS[p.activation]
+    ha = layer_norm(x_attn, p.ln_gamma, p.ln_beta)
+    down = ha @ p.w_down
+    conv = conv3d(down, p.conv_kernel)
+    s = act(conv)
+    return {"ha": ha, "down": down, "conv": conv, "s": s, "branch": x_attn + s @ p.w_up}
 
 
 def adapter_forward(x_attn, p: AdapterParams) -> np.ndarray:
     """Bottleneck branch with residual: x + W_up(act(Conv3D(W_down LN(x))))."""
-    x_attn = np.asarray(x_attn, dtype=np.float64)
-    _check_input(x_attn, p.channels)
-    act, _ = ACTIVATIONS[p.activation]
-    h = layer_norm(x_attn, p.ln_gamma, p.ln_beta)
-    down = h @ p.w_down
-    conv = conv3d(down, p.conv_kernel)
-    return x_attn + act(conv) @ p.w_up
+    return _adapter_cache(_as_input(x_attn, p.channels), p)["branch"]
 
 
-def _frame_attention(h: np.ndarray, attn: AttentionParams) -> np.ndarray:
-    # spatial attention over the H*W token grid, independently per frame b
-    b, hh, ww, c = h.shape
-    tokens = h.reshape(b, hh * ww, c)
-    out = multi_head_attention(tokens, tokens, tokens, attn)
-    return out.reshape(b, hh, ww, c)
-
-
-def block_forward(
+def _forward(
     x, p: BlockParams, mode: str = "eval", rng_seed: int | None = None
-) -> np.ndarray:
-    """Run one block.  In "train" mode DropPath zeroes the adapter branch
-    with probability drop_path_rate and rescales survivors by 1/(1-rate),
-    driven by the explicit rng_seed; "eval" mode is deterministic."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_input(x, p.channels)
+) -> dict[str, np.ndarray]:
+    # the block's forward, keeping every intermediate the backward needs;
+    # "y" is the output
+    x = _as_input(x, p.channels)
     if mode not in ("eval", "train"):
         raise ValueError(f"mode must be 'eval' or 'train', got {mode!r}")
     if mode == "train" and rng_seed is None:
         raise ValueError("train mode requires an explicit rng_seed")
 
-    branch = adapter_forward(
-        _frame_attention(layer_norm(x, p.ln1_gamma, p.ln1_beta), p.attn), p.adapter
-    )
+    # spatial attention over the H*W token grid, independently per frame b
+    b, hh, ww, c = x.shape
+    tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
+    x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
+    cache = _adapter_cache(x_attn, p.adapter)
+    branch = cache["branch"]
     if mode == "train" and p.drop_path_rate > 0.0:
         u = np.random.default_rng(rng_seed).uniform()
         if u < p.drop_path_rate:
@@ -250,7 +249,21 @@ def block_forward(
 
     act, _ = ACTIVATIONS[p.mlp.activation]
     h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
-    return x_out + act(h2 @ p.mlp.w1 + p.mlp.b1) @ p.mlp.w2 + p.mlp.b2
+    m1 = h2 @ p.mlp.w1 + p.mlp.b1
+    z = act(m1)
+    cache.update(x=x, tokens=tokens, x_attn=x_attn, x_out=x_out, h2=h2, m1=m1, z=z,
+                 y=x_out + z @ p.mlp.w2 + p.mlp.b2)
+    return cache
+
+
+def block_forward(
+    x, p: BlockParams, mode: str = "eval", rng_seed: int | None = None
+) -> np.ndarray:
+    """Run one block.  In "train" mode DropPath zeroes the adapter branch
+    with probability drop_path_rate and rescales survivors by 1/(1-rate),
+    driven by the explicit rng_seed; "eval" mode is deterministic.  The
+    output keeps a floating input's dtype; other inputs run in float64."""
+    return _forward(x, p, mode, rng_seed)["y"]
 
 
 # ---------------------------------------------------------------------------
@@ -283,48 +296,36 @@ def block_param_arrays(p: BlockParams) -> dict[str, np.ndarray]:
 def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
     """Analytic gradients of the eval-mode block w.r.t. the input ("x") and
     every parameter (keys of block_param_arrays), by chain rule."""
-    x = np.asarray(x, dtype=np.float64)
+    f = _forward(np.asarray(x, dtype=np.float64), p)
+    x = f["x"]
     g = np.asarray(upstream_grad, dtype=np.float64)
-    _check_input(x, p.channels)
     if g.shape != x.shape:
         raise ShapeError(
             f"upstream gradient shape {tuple(g.shape)} != input {tuple(x.shape)}"
         )
     b, hh, ww, c = x.shape
-    act_a, act_a_grad = ACTIVATIONS[p.adapter.activation]
-    act_m, act_m_grad = ACTIVATIONS[p.mlp.activation]
-
-    # forward, caching every intermediate the chain rule needs
-    h1 = layer_norm(x, p.ln1_gamma, p.ln1_beta)
-    tokens = h1.reshape(b, hh * ww, c)
-    x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
-    ha = layer_norm(x_attn, p.adapter.ln_gamma, p.adapter.ln_beta)
-    down = ha @ p.adapter.w_down
-    conv = conv3d(down, p.adapter.conv_kernel)
-    s = act_a(conv)
-    x_out = x + x_attn + s @ p.adapter.w_up
-    h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
-    m1 = h2 @ p.mlp.w1 + p.mlp.b1
-    z = act_m(m1)
+    _, act_a_grad = ACTIVATIONS[p.adapter.activation]
+    _, act_m_grad = ACTIVATIONS[p.mlp.activation]
 
     # MLP branch
-    dz, dw2, db2 = linear_vjp(g, z, p.mlp.w2)
-    dm1 = dz * act_m_grad(m1)
-    dh2, dw1, db1 = linear_vjp(dm1, h2, p.mlp.w1)
-    dx_out_ln, dg2, db2_ln = layer_norm_vjp(dh2, x_out, p.ln2_gamma, p.ln2_beta)
+    dz, dw2, db2 = linear_vjp(g, f["z"], p.mlp.w2)
+    dm1 = dz * act_m_grad(f["m1"])
+    dh2, dw1, db1 = linear_vjp(dm1, f["h2"], p.mlp.w1)
+    dx_out_ln, dg2, db2_ln = layer_norm_vjp(dh2, f["x_out"], p.ln2_gamma, p.ln2_beta)
     dx_out = g + dx_out_ln
 
     # adapter branch (DropPath is identity in eval mode)
-    ds, dw_up, _ = linear_vjp(dx_out, s, p.adapter.w_up)
-    dconv = ds * act_a_grad(conv)
-    ddown, dkernel = conv3d_vjp(dconv, down, p.adapter.conv_kernel)
-    dha, dw_down, _ = linear_vjp(ddown, ha, p.adapter.w_down)
+    ds, dw_up, _ = linear_vjp(dx_out, f["s"], p.adapter.w_up)
+    dconv = ds * act_a_grad(f["conv"])
+    ddown, dkernel = conv3d_vjp(dconv, f["down"], p.adapter.conv_kernel)
+    dha, dw_down, _ = linear_vjp(ddown, f["ha"], p.adapter.w_down)
     dx_attn_ln, dga, dba = layer_norm_vjp(
-        dha, x_attn, p.adapter.ln_gamma, p.adapter.ln_beta
+        dha, f["x_attn"], p.adapter.ln_gamma, p.adapter.ln_beta
     )
     dx_attn = dx_out + dx_attn_ln
 
     # spatial attention (self-attention: query, key and value grads sum)
+    tokens = f["tokens"]
     dq, dk, dv, dwq, dwk, dwv, dwo = multi_head_attention_vjp(
         dx_attn.reshape(b, hh * ww, c), tokens, tokens, tokens, p.attn
     )
@@ -379,79 +380,17 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def _softmax_ld(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _layer_norm_ld(x, gamma, beta, eps) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * gamma + beta
-
-
-def _act_ld(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "gelu":
-        c = np.longdouble(math.sqrt(2.0 / math.pi))
-        return 0.5 * x * (1.0 + np.tanh(c * (x + np.longdouble(0.044715) * x**3)))
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _forward_reference(x, p: BlockParams) -> np.ndarray:
-    """Independent straight-line eval-mode forward in extended precision.
-
-    Serves as the finite-difference reference: the float64 production path
-    leaves ~1e-9 of rounding noise in a (f(x+h)-f(x-h))/2h quotient at
-    h=1e-6, which swamps the 1e-5 relative tolerance on components whose
-    true gradient is below ~1e-4.  Running the reference in longdouble
-    pushes that noise floor three orders of magnitude down.
-    """
-    L = np.longdouble
-    x = np.asarray(x, dtype=L)
-    b, hh, ww, c = x.shape
-    attn = p.attn
-    nh, hd = attn.num_heads, attn.head_dim
-
-    h1 = _layer_norm_ld(x, p.ln1_gamma.astype(L), p.ln1_beta.astype(L), 1e-6)
-    tokens = h1.reshape(b, hh * ww, c)
-    q = tokens @ attn.w_q.astype(L)
-    k = tokens @ attn.w_k.astype(L)
-    v = tokens @ attn.w_v.astype(L)
-    qh = q.reshape(b, -1, nh, hd).transpose(0, 2, 1, 3)
-    kh = k.reshape(b, -1, nh, hd).transpose(0, 2, 1, 3)
-    vh = v.reshape(b, -1, nh, hd).transpose(0, 2, 1, 3)
-    a = _softmax_ld(qh @ kh.transpose(0, 1, 3, 2) / np.longdouble(math.sqrt(hd)))
-    merged = (a @ vh).transpose(0, 2, 1, 3).reshape(b, hh * ww, c)
-    x_attn = (merged @ attn.w_o.astype(L)).reshape(x.shape)
-
-    ad = p.adapter
-    ha = _layer_norm_ld(x_attn, ad.ln_gamma.astype(L), ad.ln_beta.astype(L), 1e-6)
-    down = ha @ ad.w_down.astype(L)
-    kd, kh_, kw_ = ad.conv_kernel.shape[:3]
-    pd, ph, pw = (kd - 1) // 2, (kh_ - 1) // 2, (kw_ - 1) // 2
-    padded = np.pad(down, ((pd, pd), (ph, ph), (pw, pw), (0, 0)))
-    conv = np.zeros(down.shape[:3] + (ad.conv_kernel.shape[4],), dtype=L)
-    for i in range(kd):
-        for j in range(kh_):
-            for l in range(kw_):
-                conv += (
-                    padded[i : i + b, j : j + hh, l : l + ww, :]
-                    @ ad.conv_kernel[i, j, l].astype(L)
-                )
-    x_out = x + x_attn + _act_ld(ad.activation, conv) @ ad.w_up.astype(L)
-
-    h2 = _layer_norm_ld(x_out, p.ln2_gamma.astype(L), p.ln2_beta.astype(L), 1e-6)
-    m1 = h2 @ p.mlp.w1.astype(L) + p.mlp.b1.astype(L)
-    return x_out + _act_ld(p.mlp.activation, m1) @ p.mlp.w2.astype(L) + p.mlp.b2.astype(L)
-
-
 def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient of sum(forward() * g) w.r.t. arr.
 
-    The output difference is taken elementwise before reduction, and the
-    quotient uses the actually realized parameter step, so the estimate is
-    limited by the reference precision rather than by cancellation.
+    ``forward`` is the block forward run in longdouble: in float64 it
+    leaves ~1e-9 of rounding noise in a (f(x+h)-f(x-h))/2h quotient at
+    h=1e-6, which swamps the 1e-5 relative tolerance on components whose
+    true gradient is below ~1e-4; longdouble pushes that noise floor three
+    orders of magnitude down.  The output difference is taken elementwise
+    before reduction, and the quotient uses the actually realized parameter
+    step, so the estimate is limited by the forward's precision rather than
+    by cancellation.
     """
     if not arr.flags["C_CONTIGUOUS"]:
         # ravel() of a non-contiguous array copies, losing the perturbation
@@ -501,7 +440,7 @@ def grad_check(
     targets.update(block_param_arrays(p))
 
     def forward():
-        return _forward_reference(x, p)
+        return block_forward(x.astype(np.longdouble), p)
 
     rows = []
     for name, arr in targets.items():

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import block_params, grad_check
+from .adapter import block_param_arrays, block_params, grad_check
 from .config import SCHEMA, ConfigError, load_config, parse_override_pairs
 from .episode import MemoryConfig, run_episode
 from .memory import (
     MemoryEntry,
+    MemoryFileError,
     base_bytes,
     insert_or_replace,
     load_base,
@@ -43,14 +44,29 @@ EXIT_USAGE = 2
 # gradcheck
 
 
-def cmd_gradcheck(args) -> int:
+def _gradcheck_usage_error(args) -> str | None:
+    _, _, _, c, r = args.shape
     if args.trials < 1:
-        print("gradcheck: --trials must be >= 1", file=sys.stderr)
+        return "--trials must be >= 1"
+    if r >= c:
+        return f"bottleneck {r} must be < channels {c}"
+    if args.heads < 1 or c % args.heads:
+        return f"--heads {args.heads} must be positive and divide channels {c}"
+    if args.h <= 0 or args.tol <= 0:
+        return "--h and --tol must be positive"
+    params = block_params(np.random.default_rng(0), c, r, args.heads)
+    names = ["x", *block_param_arrays(params)]
+    if args.mutate is not None and args.mutate not in names:
+        return f"--mutate must be one of {', '.join(names)}, got {args.mutate!r}"
+    return None
+
+
+def cmd_gradcheck(args) -> int:
+    problem = _gradcheck_usage_error(args)
+    if problem:
+        print(f"gradcheck: {problem}", file=sys.stderr)
         return EXIT_USAGE
     b, h, w, c, r = args.shape
-    if r >= c:
-        print(f"gradcheck: bottleneck {r} must be < channels {c}", file=sys.stderr)
-        return EXIT_USAGE
     results = []
     worst = 0.0
     failed = False
@@ -326,6 +342,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_mem_export(args) -> int:
+    if args.capacity < 0:
+        print(f"mem-export: --capacity must be >= 0, got {args.capacity}", file=sys.stderr)
+        return EXIT_USAGE
     c, h, w = args.shape
     rng = np.random.default_rng(args.seed)
     base = _random_base(rng, args.capacity, min(args.count, args.capacity), (c, h, w))
@@ -337,7 +356,11 @@ def cmd_mem_export(args) -> int:
 
 
 def cmd_mem_import(args) -> int:
-    base = load_base(args.path)
+    try:
+        base = load_base(args.path)
+    except (MemoryFileError, OSError) as exc:
+        print(f"mem-import: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     s = stats(base)
     print(
         f"mem-import: {s.count}/{s.capacity} entries, feature shape"

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .episode import EpisodeSettings, MemoryConfig, make_tasks
+from .episode import EpisodeSettings, MemoryConfig, build_model, make_tasks
 from .synth import NoiseConfig
 
 
@@ -147,29 +147,16 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)
     cfg = RunConfig(values=values)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    v = cfg.values
-    if v["tasks.count"] < 1:
-        raise ConfigError("tasks.count must be >= 1")
-    if not v["seeds"]:
+    if not cfg.seeds():
         raise ConfigError("seeds must be non-empty")
-    if v["retrieval"] not in ("confidence_similarity", "random", "none"):
-        raise ConfigError(f"retrieval must be one of confidence_similarity|random|none,"
-                          f" got {v['retrieval']!r}")
-    if v["memory.capacity"] < 0:
-        raise ConfigError("memory.capacity must be non-negative")
-    if v["memory.k"] < 1:
-        raise ConfigError("memory.k must be >= 1")
-    if v["image.size"] % v["image.patch"] != 0:
-        raise ConfigError("image.size must be divisible by image.patch")
-    if not 0.0 <= v["noise.label_corrupt_prob"] <= 1.0:
-        raise ConfigError("noise.label_corrupt_prob must be in [0, 1]")
-    if v["model.bottleneck"] >= v["model.channels"]:
-        raise ConfigError("model.bottleneck must be smaller than model.channels")
+    # the constructors of everything a run builds check the values
+    try:
+        cfg.tasks()
+        cfg.memory()
+        build_model(cfg.settings())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def parse_override_pairs(pairs: list[str]) -> dict:

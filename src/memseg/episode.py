@@ -133,6 +133,38 @@ def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
     return retrieve_topk(base, embedding, cfg.k, use_confidence=cfg.use_confidence)
 
 
+def build_model(settings: EpisodeSettings):
+    """A run's encoder geometry, blocks and fusion; ValueError if inconsistent."""
+    enc_cfg = EncoderConfig(
+        image_size=settings.image_size,
+        patch_size=settings.patch_size,
+        channels=settings.channels,
+        proj_seed=settings.model_seed,
+    )
+    blocks = [
+        block_params(
+            np.random.default_rng(
+                np.random.SeedSequence([settings.model_seed, 0xB10C, i])
+            ),
+            settings.channels,
+            bottleneck=settings.bottleneck,
+            num_heads=settings.num_heads,
+            scale=0.5,
+        )
+        for i in range(settings.num_blocks)
+    ]
+    if not settings.adapter_enabled:
+        for blk in blocks:
+            blk.adapter.w_up[:] = 0.0  # exact residual: adapter branch off
+    fusion = structured_fusion_params(
+        settings.channels,
+        key_gain=settings.fusion_key_gain,
+        value_gain=settings.fusion_value_gain,
+        out_gain=settings.fusion_out_gain,
+    )
+    return enc_cfg, blocks, fusion
+
+
 class _Runner:
     """One seed's worth of episode state."""
 
@@ -141,33 +173,7 @@ class _Runner:
         self.mem_cfg = mem_cfg
         self.settings = settings
         self.seed = seed
-        self.enc_cfg = EncoderConfig(
-            image_size=settings.image_size,
-            patch_size=settings.patch_size,
-            channels=settings.channels,
-            proj_seed=settings.model_seed,
-        )
-        self.blocks = [
-            block_params(
-                np.random.default_rng(
-                    np.random.SeedSequence([settings.model_seed, 0xB10C, i])
-                ),
-                settings.channels,
-                bottleneck=settings.bottleneck,
-                num_heads=settings.num_heads,
-                scale=0.5,
-            )
-            for i in range(settings.num_blocks)
-        ]
-        if not settings.adapter_enabled:
-            for blk in self.blocks:
-                blk.adapter.w_up[:] = 0.0  # exact residual: adapter branch off
-        self.fusion = structured_fusion_params(
-            settings.channels,
-            key_gain=settings.fusion_key_gain,
-            value_gain=settings.fusion_value_gain,
-            out_gain=settings.fusion_out_gain,
-        )
+        self.enc_cfg, self.blocks, self.fusion = build_model(settings)
         self.base = new_base(mem_cfg.capacity, self.enc_cfg.feature_shape)
         self.event = 0
         self.retrieval_log: list[dict] = []

@@ -34,7 +34,6 @@ class FusionParams:
     ln_q_beta: np.ndarray
     ln_kv_gamma: np.ndarray
     ln_kv_beta: np.ndarray
-    num_layers: int = 1
 
     def __post_init__(self):
         c = self.attn.model_dim
@@ -42,12 +41,10 @@ class FusionParams:
             v = getattr(self, name)
             if v.shape != (c,):
                 raise ShapeError(f"{name} shape {tuple(v.shape)} != ({c},)")
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be positive, got {self.num_layers}")
 
 
 def fusion_params(rng: np.random.Generator, channels: int, num_heads: int = 1,
-                  num_layers: int = 1, scale: float | None = None) -> FusionParams:
+                  scale: float | None = None) -> FusionParams:
     """Seeded-random fusion weights with unit layer-norm affines."""
     return FusionParams(
         attn=attention_params(rng, channels, num_heads, scale),
@@ -55,13 +52,11 @@ def fusion_params(rng: np.random.Generator, channels: int, num_heads: int = 1,
         ln_q_beta=np.zeros(channels),
         ln_kv_gamma=np.ones(channels),
         ln_kv_beta=np.zeros(channels),
-        num_layers=num_layers,
     )
 
 
 def structured_fusion_params(channels: int, key_gain: float = 1.0,
-                             value_gain: float = 1.0, out_gain: float = 1.0,
-                             num_layers: int = 1) -> FusionParams:
+                             value_gain: float = 1.0, out_gain: float = 1.0) -> FusionParams:
     """Analytic identity-based weights: queries/keys scaled by key_gain so
     positional agreement drives the attention pattern, values and output
     scaled so the retrieved content couples to the embedding with a
@@ -76,7 +71,6 @@ def structured_fusion_params(channels: int, key_gain: float = 1.0,
         ln_q_beta=np.zeros(channels),
         ln_kv_gamma=np.ones(channels),
         ln_kv_beta=np.zeros(channels),
-        num_layers=num_layers,
     )
 
 
@@ -129,8 +123,6 @@ def fuse(
     kv = np.concatenate(kv_blocks, axis=0)
 
     tokens = _tokens(e)
-    pe_tokens = _tokens(pe)
-    for _ in range(params.num_layers):
-        q = layer_norm(tokens, params.ln_q_gamma, params.ln_q_beta) + pe_tokens
-        tokens = tokens + multi_head_attention(q, kv, kv, params.attn)
+    q = layer_norm(tokens, params.ln_q_gamma, params.ln_q_beta) + _tokens(pe)
+    tokens = tokens + multi_head_attention(q, kv, kv, params.attn)
     return tokens.reshape(h, w, c).transpose(2, 0, 1)

@@ -1,11 +1,11 @@
-"""Dense float64 numeric kernels: normalization, projections, 3D convolution,
+"""Dense numeric kernels: normalization, projections, 3D convolution,
 attention, activations, cosine similarity, and a finite-difference harness.
 
-All tensors are C-contiguous ``numpy.float64`` arrays with explicit shapes.
-Every exported operation is a pure function and is deterministic: identical
-inputs produce bit-identical outputs.  Each differentiable kernel has a
-companion ``*_vjp`` (vector-Jacobian product) used by the hand-written
-block backward pass.
+Tensors are C-contiguous arrays with explicit shapes.  Forward kernels keep
+a floating input's dtype (float64 in production, longdouble in the gradient
+check) and cast other inputs to float64; the ``*_vjp`` companions used by
+the hand-written block backward pass work in float64.  Every exported
+operation is pure and deterministic: identical inputs give identical bits.
 """
 
 from __future__ import annotations
@@ -20,9 +20,14 @@ class ShapeError(ValueError):
     """Raised when tensor shapes do not conform to an operation's contract."""
 
 
+def _float(x) -> np.ndarray:
+    a = np.asarray(x)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
+
+
 def _arr(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    a = _float(x)
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a
 
@@ -177,7 +182,7 @@ def conv3d(x, kernel) -> np.ndarray:
     d, h, w = x.shape[:3]
     pd, ph, pw = (kd - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
     xp = np.pad(x, ((pd, pd), (ph, ph), (pw, pw), (0, 0)))
-    out = np.zeros((d, h, w, cout))
+    out = np.zeros((d, h, w, cout), dtype=np.result_type(x, kernel))
     for i in range(kd):
         for j in range(kh):
             for l in range(kw):
@@ -229,7 +234,7 @@ def softmax_vjp(g, y, axis: int = -1) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     """Exact logistic sigmoid, overflow-safe on both tails."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _float(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -248,7 +253,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x) -> np.ndarray:
     """GELU with the tanh approximation."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _float(x)
     inner = _GELU_C * (x + 0.044715 * x**3)
     return 0.5 * x * (1.0 + np.tanh(inner))
 

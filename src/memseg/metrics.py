@@ -7,9 +7,10 @@ import numpy as np
 
 def _as_binary(t, name: str) -> np.ndarray:
     a = np.asarray(t)
-    vals = np.unique(a)
-    if not np.all(np.isin(vals, (0, 1))):
-        raise ValueError(f"{name} is not binary: values {vals[:8]}")
+    if a.dtype == bool:
+        return a
+    if not ((a == 0) | (a == 1)).all():
+        raise ValueError(f"{name} is not binary: values {np.unique(a)[:8]}")
     return a.astype(bool)
 
 

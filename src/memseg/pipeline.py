@@ -38,6 +38,8 @@ class EncoderConfig:
     proj_seed: int = 2024
 
     def __post_init__(self):
+        if self.patch_size < 1:
+            raise ValueError(f"patch_size must be positive, got {self.patch_size}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch"

@@ -190,10 +190,3 @@ def preprocess_stream(frames: list[Frame], min_edge_ratio: float = 0.5) -> list[
                 replace(f, mask=(f.mask == c).astype(f.mask.dtype))
             )
     return out
-
-
-def shuffle_frames(frames: list[Frame], rng_seed: int) -> list[Frame]:
-    """Optional deterministic shuffle for standalone 2D images (never apply
-    to video/volume slices, whose temporal order is meaningful)."""
-    order = np.random.default_rng(rng_seed).permutation(len(frames))
-    return [frames[i] for i in order]

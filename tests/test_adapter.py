@@ -310,17 +310,16 @@ def test_grad_check_zero_instance_trivially_passes():
 
 
 def test_fd_reference_forward_matches_production():
-    # the extended-precision reference used by grad_check must track the
-    # production forward to float64 round-off
-    from memseg.adapter import _forward_reference
-
+    # grad_check's finite differences run block_forward on longdouble input;
+    # that must keep the dtype and track the float64 forward to round-off
     rng = np.random.default_rng(33)
     for seed in range(5):
         p = block_params(np.random.default_rng(seed), 8, bottleneck=4, num_heads=2)
         x = rng.normal(size=(2, 3, 3, 8))
         prod = block_forward(x, p)
-        ref = np.asarray(_forward_reference(x, p), dtype=np.float64)
-        assert np.abs(prod - ref).max() < 1e-13
+        ref = block_forward(x.astype(np.longdouble), p)
+        assert ref.dtype == np.longdouble
+        assert np.abs(prod - ref.astype(np.float64)).max() < 1e-13
 
 
 def test_grad_check_validates_args():

@@ -190,3 +190,32 @@ def test_mem_export_import_round_trip(tmp_path, capsys):
 
 def test_unrecognized_args_rejected(capsys):
     assert main(["memcheck", "--bogus.flag", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", "image.patch=0"],
+        ["simulate", "--set", "noise.feature_noise_sigma=-1"],
+        ["simulate", "--set", "model.heads=3"],
+        ["gradcheck", "--heads", "3"],
+        ["gradcheck", "--h", "0"],
+        ["gradcheck", "--mutate", "nope"],
+        ["mem-export", "--capacity", "-1", "--out", "{tmp}/m.smb"],
+        ["mem-import", "{tmp}/bad_magic.smb"],
+        ["mem-import", "{tmp}/missing.smb"],
+    ],
+    ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
+         "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
+         "import-missing"],
+)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err

@@ -86,19 +86,6 @@ def test_shape_mismatch_raises():
         fuse(rng.normal(size=(C + 1, H, W)), rng.normal(size=(C + 1, H, W)), [], p)
 
 
-def test_multi_layer_runs_and_differs():
-    rng = np.random.default_rng(10)
-    p1 = fusion_params(np.random.default_rng(11), C, num_heads=1, num_layers=1)
-    p2 = fusion_params(np.random.default_rng(11), C, num_heads=1, num_layers=2)
-    e = rng.normal(size=SHAPE)
-    pe = rng.normal(size=SHAPE)
-    retrieved = [(rng.normal(size=SHAPE), rng.normal(size=SHAPE))]
-    out1 = fuse(e, pe, retrieved, p1)
-    out2 = fuse(e, pe, retrieved, p2)
-    assert out1.shape == out2.shape
-    assert not np.allclose(out1, out2)
-
-
 def test_fuse_deterministic():
     rng = np.random.default_rng(12)
     p = random_params(13)

@@ -332,6 +332,16 @@ def test_kernels_bit_identical_across_calls():
     assert np.array_equal(
         multi_head_attention(q, q, q, p), multi_head_attention(q, q, q, p)
     )
+    # floating dtypes are kept, so the same kernels serve the longdouble
+    # finite-difference forward; ints run in float64
+    ints = rng.integers(-3, 4, size=x.shape)
+    for xx, want in ((x.astype(np.longdouble), np.longdouble), (ints, np.float64)):
+        t = xx.reshape(2, 9, 4)
+        assert layer_norm(xx, np.ones(4), np.zeros(4)).dtype == want
+        assert conv3d(xx, kern).dtype == want
+        assert multi_head_attention(t, t, t, p).dtype == want
+        assert gelu(xx).dtype == want
+        assert sigmoid(xx).dtype == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from memseg.synth import (
     TaskSpec,
     gen_frame,
     preprocess_stream,
-    shuffle_frames,
 )
 
 
@@ -166,11 +165,3 @@ def test_preprocess_idempotent():
     for a, b in zip(once, twice):
         assert np.array_equal(a.mask, b.mask)
         assert a.slice_index == b.slice_index
-
-
-def test_shuffle_deterministic_permutation():
-    frames = [frame_with(np.ones((4, 4), dtype=np.uint8), t=i) for i in range(6)]
-    a = shuffle_frames(frames, rng_seed=3)
-    b = shuffle_frames(frames, rng_seed=3)
-    assert [f.slice_index for f in a] == [f.slice_index for f in b]
-    assert sorted(f.slice_index for f in a) == list(range(6))
