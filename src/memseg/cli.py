@@ -46,6 +46,8 @@ EXIT_USAGE = 2
 
 def _gradcheck_usage_error(args) -> str | None:
     _, _, _, c, r = args.shape
+    if min(args.shape) < 1:
+        return f"--shape extents must be positive, got {args.shape}"
     if args.trials < 1:
         return "--trials must be >= 1"
     if r >= c:
@@ -108,38 +110,36 @@ def cmd_gradcheck(args) -> int:
 # memcheck
 
 
-def _oracle_topk(base, query, k):
-    """Independent pure-python full sort of s_i + sigmoid(y_hat_i)."""
-    q = [float(v) for v in np.asarray(query).ravel()]
+def oracle_topk(embeddings, confidences, query, k) -> list[int]:
+    """Independent pure-python full sort of cos(E_i, query) + sigmoid(y_hat_i)
+    over embedding rows E_i and raw confidences y_hat_i, descending, ties to
+    the lower index; a vector with norm < 1e-12 has cosine 0."""
+    q = np.ravel(query).tolist()
     qn = math.sqrt(sum(v * v for v in q))
     totals = []
-    for e in base.entries:
-        emb = [float(v) for v in e.image_embedding.ravel()]
+    for row, y in zip(embeddings, map(float, confidences)):
+        emb = np.ravel(row).tolist()
         en = math.sqrt(sum(v * v for v in emb))
         if en < 1e-12 or qn < 1e-12:
             s = 0.0
         else:
             s = max(-1.0, min(1.0, sum(a * b for a, b in zip(emb, q)) / (en * qn)))
-        if e.y_hat >= 0:
-            conf = 1.0 / (1.0 + math.exp(-e.y_hat))
-        else:
-            conf = math.exp(e.y_hat) / (1.0 + math.exp(e.y_hat))
+        conf = 1.0 / (1.0 + math.exp(-y)) if y >= 0 else math.exp(y) / (1.0 + math.exp(y))
         totals.append(s + conf)
     order = sorted(range(len(totals)), key=lambda i: (-totals[i], i))
-    return order[: min(k, len(order))]
+    return order[:k]
 
 
-def _random_base(rng, capacity, count, shape):
+def _random_entry(rng, shape, tag=""):
+    f, pe, y = rng.normal(size=shape), rng.normal(size=shape), float(rng.normal())
+    return MemoryEntry(f, pe, y, rng.normal(size=shape), source_tag=tag)
+
+
+def _random_base(rng, capacity, count, shape, tag_prefix=""):
+    """A base of count random entries, each tagged tag_prefix + its index."""
     base = new_base(capacity, shape)
-    for _ in range(count):
-        base.entries.append(
-            MemoryEntry(
-                rng.normal(size=shape),
-                rng.normal(size=shape),
-                float(rng.normal()),
-                rng.normal(size=shape),
-            )
-        )
+    for i in range(count):
+        insert_or_replace(base, _random_entry(rng, shape, f"{tag_prefix}{i}"))
     return base
 
 
@@ -158,7 +158,7 @@ def cmd_memcheck(args) -> int:
         query = trng.normal(size=shape)
         k = int(trng.integers(1, 9))
         got = retrieve_topk(base, query, k).indices
-        want = _oracle_topk(base, query, k)
+        want = oracle_topk(base.image_embeddings[:n], base.confidences[:n], query, k)
         if got != want:
             print(
                 f"VIOLATION retrieval-oracle at trial seed {trial_seed}:"
@@ -171,12 +171,7 @@ def cmd_memcheck(args) -> int:
         cap = int(trng.integers(1, 6))
         base = _random_base(trng, cap, cap, shape)
         for _ in range(8):
-            new = MemoryEntry(
-                trng.normal(size=shape),
-                trng.normal(size=shape),
-                float(trng.normal()),
-                trng.normal(size=shape),
-            )
+            new = _random_entry(trng, shape)
             before = base_bytes(base)
             out = insert_or_replace(base, new)
             if len(base) > cap:
@@ -342,15 +337,21 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_mem_export(args) -> int:
-    if args.capacity < 0:
-        print(f"mem-export: --capacity must be >= 0, got {args.capacity}", file=sys.stderr)
+    if args.capacity < 0 or min(args.shape) < 1:
+        print(
+            f"mem-export: need --capacity >= 0 and positive --shape extents,"
+            f" got {args.capacity} and {args.shape}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
-    c, h, w = args.shape
     rng = np.random.default_rng(args.seed)
-    base = _random_base(rng, args.capacity, min(args.count, args.capacity), (c, h, w))
-    for i, e in enumerate(base.entries):
-        e.source_tag = f"export/{i}"
-    save_base(base, args.out)
+    count = min(args.count, args.capacity)
+    try:
+        base = _random_base(rng, args.capacity, count, tuple(args.shape), tag_prefix="export/")
+        save_base(base, args.out)
+    except (OSError, MemoryError) as exc:
+        print(f"mem-export: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"mem-export: wrote {len(base)} entries (capacity {args.capacity}) to {args.out}")
     return EXIT_OK
 
@@ -358,7 +359,9 @@ def cmd_mem_export(args) -> int:
 def cmd_mem_import(args) -> int:
     try:
         base = load_base(args.path)
-    except (MemoryFileError, OSError) as exc:
+        if args.out:
+            save_base(base, args.out)
+    except (MemoryFileError, OSError, MemoryError) as exc:
         print(f"mem-import: {exc}", file=sys.stderr)
         return EXIT_USAGE
     s = stats(base)
@@ -373,7 +376,6 @@ def cmd_mem_import(args) -> int:
     if s.mean_pairwise_similarity is not None:
         print(f"  mean pairwise embedding similarity {s.mean_pairwise_similarity:.4f}")
     if args.out:
-        save_base(base, args.out)
         print(f"  re-exported to {args.out}")
     return EXIT_OK
 

@@ -177,6 +177,7 @@ class _Runner:
         self.base = new_base(mem_cfg.capacity, self.enc_cfg.feature_shape)
         self.event = 0
         self.retrieval_log: list[dict] = []
+        self.outcomes: dict[str, int] = {}  # this task's insert outcomes, by kind
         self.digest = hashlib.sha256()
 
     def gen_volume(self, task: TaskSpec, volume: int, eval_split: bool) -> list[Frame]:
@@ -227,7 +228,7 @@ class _Runner:
                 image_embedding=e,
                 source_tag=tag,
             )
-            insert_or_replace(self.base, entry)
+            self.outcomes[insert_or_replace(self.base, entry).kind] += 1
         return dice(mask_hat, frame.mask), y_hat
 
     def eval_pass(self, task: TaskSpec, cached) -> float:
@@ -246,6 +247,7 @@ class _Runner:
         snapshots: list[dict] = []
 
         for task in self.tasks:
+            self.outcomes = dict.fromkeys(("appended", "replaced", "rejected"), 0)
             phase_dice: list[float] = []
             phase_conf: list[float] = []
             for v in range(settings.volumes_per_task):
@@ -277,7 +279,7 @@ class _Runner:
                     "dsc_before": dsc_before,
                 }
             )
-            snapshots.append(_stats_dict(self.base))
+            snapshots.append({**asdict(stats(self.base)), **self.outcomes})
 
         for task, row in zip(self.tasks, per_task):
             row["dsc_after"] = self.eval_pass(task, eval_cache[task.task_id])
@@ -298,10 +300,6 @@ class _Runner:
         if settings.log_retrievals:
             out["retrieval_log"] = self.retrieval_log
         return out
-
-
-def _stats_dict(base: MemoryBase) -> dict:
-    return asdict(stats(base))
 
 
 def run_episode(

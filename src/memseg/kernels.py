@@ -1,5 +1,5 @@
 """Dense numeric kernels: normalization, projections, 3D convolution,
-attention, activations, cosine similarity, and a finite-difference harness.
+attention, activations, and a finite-difference harness.
 
 Tensors are C-contiguous arrays with explicit shapes.  Forward kernels keep
 a floating input's dtype (float64 in production, longdouble in the gradient
@@ -358,22 +358,7 @@ def multi_head_attention_vjp(g, q, k, v, params: AttentionParams):
 
 
 # ---------------------------------------------------------------------------
-# similarity / finite differences
-
-ZERO_NORM_EPS = 1e-12
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of two same-shape tensors, flattened.  A vector whose norm is
-    below 1e-12 carries no direction and scores 0 instead of raising."""
-    a, b = _arr(a, "a"), _arr(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {tuple(a.shape)} vs {tuple(b.shape)}")
-    af, bf = a.ravel(), b.ravel()
-    na, nb = np.linalg.norm(af), np.linalg.norm(bf)
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        return 0.0
-    return float(np.clip(af @ bf / (na * nb), -1.0, 1.0))
+# finite differences
 
 
 def finite_diff_grad(f, x, h: float = 1e-6) -> np.ndarray:

@@ -18,8 +18,9 @@ only inside the retrieval score, and replacement compares raw values
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .kernels import sigmoid
 
 MAGIC = b"SMB2"
 VERSION = 1
+_F8 = np.dtype("<f8")  # the file's float layout, native float64 on little-endian hosts
 
 
 class MemoryFileError(ValueError):
@@ -51,8 +53,8 @@ class ShapeInconsistencyError(MemoryFileError):
 
 @dataclass
 class MemoryEntry:
-    """One stored tuple: mask feature, positional encoding, raw confidence
-    (logit scale), image embedding, and an opaque provenance tag."""
+    """One entry as offered to insert_or_replace: mask feature, positional
+    encoding, raw confidence (logit scale), image embedding, provenance tag."""
 
     mask_feature: np.ndarray
     positional_encoding: np.ndarray
@@ -88,17 +90,35 @@ class ReplaceOutcome:
     s_max: float | None = None
 
 
-@dataclass
 class MemoryBase:
-    """Bounded ordered collection of MemoryEntry, capacity N, with one
-    declared feature shape (C, H, W) that all entries must match."""
+    """Bounded store of up to ``capacity`` entries sharing one feature shape
+    (C, H, W), kept as struct-of-arrays.  Slot i is row i of
+    ``mask_features``, ``positional_encodings`` and ``image_embeddings``
+    (each tensor flattened to C*H*W float64 values), ``confidences[i]``
+    (raw), ``feature_norms[i]``/``embedding_norms[i]`` (the cached L2 norms
+    of its mask feature and image embedding) and ``tags[i]``.  Only the
+    first ``len(base)`` rows are live; the rest come from ``np.empty`` and
+    take no resident memory until written."""
 
-    capacity: int
-    feature_shape: tuple[int, int, int]
-    entries: list[MemoryEntry] = field(default_factory=list)
+    def __init__(self, capacity: int, feature_shape: tuple[int, int, int]):
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        shape = tuple(int(s) for s in feature_shape)
+        if len(shape) != 3 or any(s < 1 for s in shape):
+            raise ValueError(f"feature_shape must be three positive extents, got {shape}")
+        self.capacity = int(capacity)
+        self.feature_shape = shape
+        rows = (self.capacity, math.prod(shape))
+        self.mask_features, self.positional_encodings, self.image_embeddings = (
+            np.empty(rows, _F8) for _ in range(3)
+        )
+        self.confidences, self.feature_norms, self.embedding_norms = (
+            np.empty(self.capacity) for _ in range(3)
+        )
+        self.tags: list[str] = []
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.tags)
 
 
 @dataclass
@@ -114,47 +134,53 @@ class MemoryStats:
 def new_base(capacity: int, feature_shape: tuple[int, int, int]) -> MemoryBase:
     """Create an empty base. Capacity 0 is legal: retrieval returns empty
     and every insert is rejected."""
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    shape = tuple(int(s) for s in feature_shape)
-    if len(shape) != 3 or any(s < 1 for s in shape):
-        raise ValueError(f"feature_shape must be three positive extents, got {shape}")
-    return MemoryBase(capacity=int(capacity), feature_shape=shape, entries=[])
+    return MemoryBase(capacity, feature_shape)
 
 
 def _check_entry(base: MemoryBase, entry: MemoryEntry) -> None:
-    for name, t in (
-        ("mask_feature", entry.mask_feature),
-        ("positional_encoding", entry.positional_encoding),
-        ("image_embedding", entry.image_embedding),
-    ):
-        if tuple(t.shape) != base.feature_shape:
+    for name in ("mask_feature", "positional_encoding", "image_embedding"):
+        shape = tuple(getattr(entry, name).shape)
+        if shape != base.feature_shape:
             raise ValueError(
-                f"{name} shape {tuple(t.shape)} does not conform to base"
+                f"{name} shape {shape} does not conform to base"
                 f" feature_shape {base.feature_shape}"
             )
 
 
-def _cosine_rows(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Cosine of each row of mat against vec; rows or vec with norm < 1e-12
-    score 0."""
+def _put(base: MemoryBase, i: int, entry: MemoryEntry) -> None:
+    """Write entry into slot i; i == len(base) appends."""
+    base.mask_features[i] = entry.mask_feature.reshape(-1)
+    base.positional_encodings[i] = entry.positional_encoding.reshape(-1)
+    base.image_embeddings[i] = entry.image_embedding.reshape(-1)
+    base.confidences[i] = entry.y_hat
+    # sqrt(add.reduce(r**2)) is bit-identical to np.linalg.norm(rows, axis=1)
+    base.feature_norms[i] = np.sqrt(np.add.reduce(base.mask_features[i] ** 2))
+    base.embedding_norms[i] = np.sqrt(np.add.reduce(base.image_embeddings[i] ** 2))
+    base.tags[i : i + 1] = [entry.source_tag]
+
+
+def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Cosine of each row of mat (whose L2 norms are given) against vec;
+    rows or vec with norm < 1e-12 score 0."""
     vn = np.linalg.norm(vec)
-    norms = np.linalg.norm(mat, axis=1)
     if vn < 1e-12:
         return np.zeros(mat.shape[0])
-    sims = np.zeros(mat.shape[0])
     ok = norms >= 1e-12
-    sims[ok] = mat[ok] @ vec / (norms[ok] * vn)
+    if ok.all():
+        sims = mat @ vec / (norms * vn)
+    else:
+        sims = np.zeros(mat.shape[0])
+        sims[ok] = mat[ok] @ vec / (norms[ok] * vn)
     return np.clip(sims, -1.0, 1.0)
 
 
-def _scores(base: MemoryBase, query: np.ndarray, use_confidence: bool) -> np.ndarray:
-    emb = np.stack([e.image_embedding.ravel() for e in base.entries])
-    sims = _cosine_rows(emb, query.ravel())
-    if not use_confidence:
-        return sims
-    conf = sigmoid(np.array([e.y_hat for e in base.entries]))
-    return sims + conf
+def _selected(base: MemoryBase, idx: list[int], scores: list[float]) -> RetrievalResult:
+    """Result for slots idx; the arrays are copies of the rows, so a later
+    replacement cannot change what the caller holds."""
+    shape = (len(idx), *base.feature_shape)
+    feats = base.mask_features[idx].reshape(shape)
+    encodings = base.positional_encodings[idx].reshape(shape)
+    return RetrievalResult(indices=idx, scores=scores, entries=list(zip(feats, encodings)))
 
 
 def retrieve_topk(
@@ -175,20 +201,18 @@ def retrieve_topk(
             f"query shape {tuple(embedding_new.shape)} does not conform to"
             f" base feature_shape {base.feature_shape}"
         )
-    if not base.entries:
+    n = len(base)
+    if n == 0:
         return RetrievalResult([], [], [])
-    scores = _scores(base, embedding_new, use_confidence)
-    # lexsort: primary key -scores ascending (= scores descending), ties by index
-    order = np.lexsort((np.arange(len(scores)), -scores))[: min(k, len(scores))]
-    idx = [int(i) for i in order]
-    return RetrievalResult(
-        indices=idx,
-        scores=[float(scores[i]) for i in idx],
-        entries=[
-            (base.entries[i].mask_feature, base.entries[i].positional_encoding)
-            for i in idx
-        ],
+    scores = _cosine_rows(
+        base.image_embeddings[:n], base.embedding_norms[:n], embedding_new.ravel()
     )
+    if use_confidence:
+        scores = scores + sigmoid(base.confidences[:n])
+    # lexsort: primary key -scores ascending (= scores descending), ties by index
+    order = np.lexsort((np.arange(n), -scores))[: min(k, n)]
+    idx = [int(i) for i in order]
+    return _selected(base, idx, [float(scores[i]) for i in idx])
 
 
 def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
@@ -197,25 +221,18 @@ def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
     (and the result is ordered by them) but play no part in selection."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not base.entries:
+    n = len(base)
+    if n == 0:
         return RetrievalResult([], [], [])
     rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(len(base.entries), size=min(k, len(base.entries)), replace=False)
+    chosen = rng.choice(n, size=min(k, n), replace=False)
     # no query embedding is involved, so the similarity term is 0 and the
     # reported score is just the squashed confidence
     scored = sorted(
-        ((float(sigmoid(np.float64(base.entries[i].y_hat))), int(i)) for i in chosen),
+        ((float(sigmoid(base.confidences[i])), int(i)) for i in chosen),
         key=lambda t: (-t[0], t[1]),
     )
-    idx = [i for _, i in scored]
-    return RetrievalResult(
-        indices=idx,
-        scores=[s for s, _ in scored],
-        entries=[
-            (base.entries[i].mask_feature, base.entries[i].positional_encoding)
-            for i in idx
-        ],
-    )
+    return _selected(base, [i for _, i in scored], [s for s, _ in scored])
 
 
 def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
@@ -224,20 +241,20 @@ def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
     confidence is strictly lower than the new entry's.  Ties in similarity
     go to the lowest insertion index."""
     _check_entry(base, new)
+    n = len(base)
     if base.capacity == 0:
         return ReplaceOutcome(kind="rejected")
-    if len(base.entries) < base.capacity:
-        base.entries.append(new)
-        return ReplaceOutcome(kind="appended", index=len(base.entries) - 1)
-    feats = np.stack([e.mask_feature.ravel() for e in base.entries])
-    sims = _cosine_rows(feats, new.mask_feature.ravel())
+    if n < base.capacity:
+        _put(base, n, new)
+        return ReplaceOutcome(kind="appended", index=n)
+    sims = _cosine_rows(base.mask_features, base.feature_norms, new.mask_feature.ravel())
     i_star = int(np.argmax(sims))  # argmax takes the first (lowest-index) max
     s_max = float(sims[i_star])
-    old = base.entries[i_star]
-    if old.y_hat < new.y_hat:
-        base.entries[i_star] = new
+    old_confidence = float(base.confidences[i_star])
+    if old_confidence < new.y_hat:
+        _put(base, i_star, new)
         return ReplaceOutcome(
-            kind="replaced", index=i_star, old_confidence=old.y_hat, s_max=s_max
+            kind="replaced", index=i_star, old_confidence=old_confidence, s_max=s_max
         )
     return ReplaceOutcome(kind="rejected", s_max=s_max)
 
@@ -245,18 +262,18 @@ def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
 def stats(base: MemoryBase) -> MemoryStats:
     """Count/capacity plus confidence moments and the mean pairwise cosine
     similarity of stored image embeddings (None where undefined)."""
-    n = len(base.entries)
+    n = len(base)
     if n == 0:
         return MemoryStats(0, base.capacity, None, None, None, None)
-    ys = np.array([e.y_hat for e in base.entries])
+    ys = base.confidences[:n]
     mean_sim = None
     if n >= 2:
-        emb = np.stack([e.image_embedding.ravel() for e in base.entries])
-        norms = np.linalg.norm(emb, axis=1)
-        norms[norms < 1e-12] = 1.0  # zero rows contribute 0 similarity
-        unit = emb / norms[:, None]
-        gram = unit @ unit.T
-        mean_sim = float((gram.sum() - np.trace(gram)) / (n * (n - 1)))
+        # mean off-diagonal of the Gram matrix of unit rows u_i, in O(N*D):
+        # (|sum u_i|^2 - sum |u_i|^2) / (N(N-1)); zero rows have u_i = 0
+        norms = base.embedding_norms[:n]
+        inv = np.divide(1.0, norms, out=np.zeros(n), where=norms >= 1e-12)
+        total = inv @ base.image_embeddings[:n]
+        mean_sim = float((total @ total - ((norms * inv) ** 2).sum()) / (n * (n - 1)))
     return MemoryStats(
         count=n,
         capacity=base.capacity,
@@ -281,15 +298,15 @@ def base_bytes(base: MemoryBase) -> bytes:
     c, h, w = base.feature_shape
     parts = [
         MAGIC,
-        struct.pack("<IIIIII", VERSION, base.capacity, len(base.entries), c, h, w),
+        struct.pack("<IIIIII", VERSION, base.capacity, len(base), c, h, w),
     ]
-    for e in base.entries:
-        tag = e.source_tag.encode("utf-8")
-        parts.append(struct.pack("<d", e.y_hat))
-        parts.append(struct.pack("<I", len(tag)))
-        parts.append(tag)
-        for t in (e.mask_feature, e.positional_encoding, e.image_embedding):
-            parts.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    for i, tag in enumerate(base.tags):
+        raw = tag.encode("utf-8")
+        parts += [struct.pack("<dI", base.confidences[i], len(raw)), raw]
+        parts += [
+            memoryview(rows[i])
+            for rows in (base.mask_features, base.positional_encodings, base.image_embeddings)
+        ]
     return b"".join(parts)
 
 
@@ -301,10 +318,10 @@ def save_base(base: MemoryBase, path) -> None:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedFileError(
                 f"truncated file: needed {n} bytes for {what}, had"
@@ -319,7 +336,7 @@ def load_base(path) -> MemoryBase:
     """Read a memory file written by save_base; round-trips bit-exactly."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
-    magic = r.take(4, "magic")
+    magic = bytes(r.take(4, "magic"))
     if magic != MAGIC:
         raise BadMagicError(f"bad magic: expected {MAGIC!r}, got {magic!r}")
     version, capacity, count, c, h, w = struct.unpack("<IIIIII", r.take(24, "header"))
@@ -334,14 +351,13 @@ def load_base(path) -> MemoryBase:
     for i in range(count):
         (y_hat,) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
         (tag_len,) = struct.unpack("<I", r.take(4, f"entry {i} tag length"))
-        tag = r.take(tag_len, f"entry {i} tag").decode("utf-8")
-        arrays = []
-        for what in ("mask feature", "positional encoding", "image embedding"):
-            raw = r.take(8 * n, f"entry {i} {what}")
-            arrays.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(c, h, w))
-        base.entries.append(
-            MemoryEntry(arrays[0], arrays[1], y_hat, arrays[2], source_tag=tag)
-        )
+        tag = str(r.take(tag_len, f"entry {i} tag"), "utf-8")
+        # views into the file image; _put copies them straight into the rows
+        arrays = [
+            np.frombuffer(r.take(8 * n, f"entry {i} {what}"), dtype=_F8).reshape(c, h, w)
+            for what in ("mask feature", "positional encoding", "image embedding")
+        ]
+        _put(base, i, MemoryEntry(arrays[0], arrays[1], y_hat, arrays[2], source_tag=tag))
     if r.pos != len(r.data):
         raise ShapeInconsistencyError(
             f"{len(r.data) - r.pos} unexpected trailing bytes"

@@ -5,14 +5,13 @@ The heavyweight episode batteries (A5/A6) share one module-scoped run.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
 from memseg.adapter import block_params, grad_check
-from memseg.cli import main
+from memseg.cli import main, oracle_topk
 from memseg.episode import EpisodeSettings, MemoryConfig, make_tasks, run_episode
 from memseg.fusion import fuse, fusion_params
 from memseg.kernels import softmax
@@ -47,26 +46,6 @@ def _random_entry(rng, shape):
 # A1 retrieval oracle equivalence
 
 
-def _oracle_topk(base, query, k):
-    q = [float(v) for v in np.asarray(query).ravel()]
-    qn = math.sqrt(sum(v * v for v in q))
-    totals = []
-    for e in base.entries:
-        emb = [float(v) for v in e.image_embedding.ravel()]
-        en = math.sqrt(sum(v * v for v in emb))
-        if en < 1e-12 or qn < 1e-12:
-            s = 0.0
-        else:
-            s = max(-1.0, min(1.0, sum(a * b for a, b in zip(emb, q)) / (en * qn)))
-        if e.y_hat >= 0:
-            conf = 1.0 / (1.0 + math.exp(-e.y_hat))
-        else:
-            conf = math.exp(e.y_hat) / (1.0 + math.exp(e.y_hat))
-        totals.append(s + conf)
-    order = sorted(range(len(totals)), key=lambda i: (-totals[i], i))
-    return order[: min(k, len(order))]
-
-
 def test_a1_retrieval_oracle_equivalence():
     rng = np.random.default_rng(0xA1)
     start = time.monotonic()
@@ -77,21 +56,23 @@ def test_a1_retrieval_oracle_equivalence():
         w = int(rng.integers(1, max(2, 128 // (c * h) + 1)))
         shape = (c, h, min(w, 4))
         n = int(rng.integers(1, 65))
-        base = new_base(64, shape)
-        for _ in range(n):
-            base.entries.append(_random_entry(rng, shape))
+        entries = [_random_entry(rng, shape) for _ in range(n)]
         # occasionally force exact duplicates to exercise the tie-break
         if n >= 2 and rng.uniform() < 0.2:
-            src = base.entries[0]
-            base.entries[1] = MemoryEntry(
+            src = entries[0]
+            entries[1] = MemoryEntry(
                 src.mask_feature.copy(),
                 src.positional_encoding.copy(),
                 src.y_hat,
                 src.image_embedding.copy(),
             )
+        base = new_base(64, shape)
+        for e in entries:
+            insert_or_replace(base, e)
         query = rng.normal(size=shape)
         k = int(rng.integers(1, 11))
-        if retrieve_topk(base, query, k).indices != _oracle_topk(base, query, k):
+        want = oracle_topk(base.image_embeddings[:n], base.confidences[:n], query, k)
+        if retrieve_topk(base, query, k).indices != want:
             mismatches += 1
     elapsed = time.monotonic() - start
     assert mismatches == 0
@@ -111,18 +92,18 @@ def test_a2_replacement_monotonicity():
         cap = int(rng.integers(1, 5))
         base = new_base(cap, shape)
         for _ in range(cap):
-            base.entries.append(_random_entry(rng, shape))
+            insert_or_replace(base, _random_entry(rng, shape))
         for _ in range(int(rng.integers(1, 4))):
             new = _random_entry(rng, shape)
             before = base_bytes(base)
-            slot_confidences = [e.y_hat for e in base.entries]
+            slot_confidences = base.confidences[:cap].copy()
             out = insert_or_replace(base, new)
             if len(base) > cap:
                 violations += 1
             if out.kind == "replaced":
                 if not new.y_hat > out.old_confidence:
                     violations += 1
-                if not base.entries[out.index].y_hat > slot_confidences[out.index]:
+                if not base.confidences[out.index] > slot_confidences[out.index]:
                     violations += 1
             elif out.kind == "rejected":
                 if base_bytes(base) != before:
@@ -328,7 +309,7 @@ def test_a9_persistence(tmp_path):
     for i in range(640):
         e = _random_entry(rng, shape)
         e.source_tag = f"t{i % 10}/f{i}"
-        base.entries.append(e)
+        insert_or_replace(base, e)
     path = tmp_path / "full.smb"
     save_base(base, path)
     loaded = load_base(path)

@@ -204,10 +204,13 @@ def test_unrecognized_args_rejected(capsys):
         ["mem-export", "--capacity", "-1", "--out", "{tmp}/m.smb"],
         ["mem-import", "{tmp}/bad_magic.smb"],
         ["mem-import", "{tmp}/missing.smb"],
+        ["mem-export", "--shape", "0", "2", "2", "--out", "{tmp}/m.smb"],
+        ["mem-export", "--out", "{tmp}/missing-dir/m.smb"],
+        ["gradcheck", "--shape", "2", "2", "2", "4", "0"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
-         "import-missing"],
+         "import-missing", "export-shape-0", "export-missing-dir", "gradcheck-shape-0"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))

@@ -86,6 +86,20 @@ def test_small_capacity_respected():
         assert snap["count"] <= 4
 
 
+def test_snapshots_count_insert_outcomes_per_task():
+    # default settings: 16 inserts per task, so cs16 is full after task 0
+    tasks = quick_tasks(2, corrupt=0.3)
+    for capacity, saturates in ((16, True), (640, False)):
+        row = run_episode(tasks, MemoryConfig(capacity=capacity), [0]).per_seed[0]
+        snaps = row["memory_snapshots"]
+        for snap, task_row in zip(snaps, row["per_task"]):
+            kinds = snap["appended"] + snap["replaced"] + snap["rejected"]
+            assert kinds == task_row["stream_frames"] == 16
+        assert sum(s["appended"] for s in snaps) == min(capacity, 32)
+        full_base_inserts = sum(s["replaced"] + s["rejected"] for s in snaps)
+        assert (full_base_inserts > 0) == saturates
+
+
 def test_retrieval_log_emitted_when_enabled():
     settings = EpisodeSettings(
         volumes_per_task=1, slices_per_volume=4, log_retrievals=True

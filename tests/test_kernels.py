@@ -11,7 +11,6 @@ from memseg.kernels import (
     attention_params,
     conv3d,
     conv3d_vjp,
-    cosine_similarity,
     finite_diff_grad,
     gelu,
     gelu_grad,
@@ -345,40 +344,7 @@ def test_kernels_bit_identical_across_calls():
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity / finite differences
-
-
-def test_cosine_identical_vectors():
-    v = np.array([1.0, 2.0, 3.0])
-    assert cosine_similarity(v, v) == 1.0
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_cosine_hand_value():
-    got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    assert abs(got - 1.0 / math.sqrt(2.0)) < 1e-15
-
-
-def test_cosine_near_zero_vector_scores_zero():
-    assert cosine_similarity(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.0
-
-
-def test_cosine_symmetry_and_scale_invariance():
-    rng = np.random.default_rng(18)
-    for _ in range(50):
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(2, 3))
-        lam = float(rng.uniform(0.1, 10.0))
-        assert abs(cosine_similarity(a, b) - cosine_similarity(b, a)) < 1e-12
-        assert abs(cosine_similarity(lam * a, b) - cosine_similarity(a, b)) < 1e-12
-
-
-def test_cosine_shape_mismatch():
-    with pytest.raises(ShapeError):
-        cosine_similarity(np.zeros(2), np.zeros(3))
+# finite differences
 
 
 def test_finite_diff_sum_of_squares():

@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memseg.cli import oracle_topk
+from memseg.kernels import sigmoid
 from memseg.memory import (
     BadMagicError,
-    MemoryBase,
     MemoryEntry,
     ShapeInconsistencyError,
     TruncatedFileError,
@@ -40,36 +44,33 @@ def make_entry(rng, y_hat=None, tag=""):
 def fill_base(rng, capacity, count, shape=SHAPE):
     base = new_base(capacity, shape)
     for _ in range(count):
-        base.entries.append(
-            MemoryEntry(
-                rng.normal(size=shape),
-                rng.normal(size=shape),
-                float(rng.normal()),
-                rng.normal(size=shape),
-            )
+        entry = MemoryEntry(
+            rng.normal(size=shape),
+            rng.normal(size=shape),
+            float(rng.normal()),
+            rng.normal(size=shape),
         )
+        assert insert_or_replace(base, entry).kind == "appended"
     return base
 
 
-def oracle_topk(base, query, k):
-    """Pure-python full sort of s_i + sigmoid(y_hat_i), ties to lower index."""
-    q = list(np.asarray(query, dtype=float).ravel())
-    qn = math.sqrt(sum(v * v for v in q))
-    scored = []
-    for i, e in enumerate(base.entries):
-        emb = list(e.image_embedding.ravel())
-        en = math.sqrt(sum(v * v for v in emb))
-        if en < 1e-12 or qn < 1e-12:
-            s = 0.0
-        else:
-            s = sum(a * b for a, b in zip(emb, q)) / (en * qn)
-            s = max(-1.0, min(1.0, s))
-        conf = 1.0 / (1.0 + math.exp(-e.y_hat)) if e.y_hat >= 0 else (
-            math.exp(e.y_hat) / (1.0 + math.exp(e.y_hat))
+def base_oracle(base, query, k):
+    n = len(base)
+    return oracle_topk(base.image_embeddings[:n], base.confidences[:n], query, k)
+
+
+def slots(base):
+    """Every live slot's bytes: the three rows, the confidence and the tag."""
+    return [
+        (
+            base.mask_features[i].tobytes(),
+            base.positional_encodings[i].tobytes(),
+            base.image_embeddings[i].tobytes(),
+            float(base.confidences[i]),
+            base.tags[i],
         )
-        scored.append((s + conf, i))
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][0], i))
-    return order[: min(k, len(order))]
+        for i in range(len(base))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_retrieve_constructed_scores():
     query = np.array([1.0, 0.0]).reshape(1, 1, 2)
     for c in (0.7, 0.4, 1.0):
         v = np.array([c, math.sqrt(1.0 - c * c)]).reshape(1, 1, 2)
-        base.entries.append(MemoryEntry(v.copy(), v.copy(), 0.0, v.copy()))
+        insert_or_replace(base, MemoryEntry(v.copy(), v.copy(), 0.0, v.copy()))
     res = retrieve_topk(base, query, 2)
     assert res.indices == [2, 0]
     assert res.scores == pytest.approx([1.5, 1.2], abs=1e-12)
@@ -127,7 +128,8 @@ def test_retrieve_tie_break_lower_index_first():
         e.y_hat,
         e.image_embedding.copy(),
     )
-    base.entries.extend([e, twin])
+    for entry in (e, twin):
+        insert_or_replace(base, entry)
     res = retrieve_topk(base, rng.normal(size=SHAPE), 2)
     assert res.indices == [0, 1]
 
@@ -139,7 +141,7 @@ def test_retrieve_matches_oracle_randomized():
         base = fill_base(rng, 64, n)
         query = rng.normal(size=SHAPE)
         k = int(rng.integers(1, 8))
-        assert retrieve_topk(base, query, k).indices == oracle_topk(base, query, k)
+        assert retrieve_topk(base, query, k).indices == base_oracle(base, query, k)
 
 
 def test_retrieve_without_confidence_matches_similarity_oracle():
@@ -152,8 +154,7 @@ def test_retrieve_without_confidence_matches_similarity_oracle():
         k = int(rng.integers(1, 6))
         res = retrieve_topk(base, query, k, use_confidence=False)
         sims = []
-        for e in base.entries:
-            emb = e.image_embedding.ravel()
+        for emb in base.image_embeddings[:n]:
             en, qn = np.linalg.norm(emb), np.linalg.norm(query.ravel())
             sims.append(float(emb @ query.ravel() / (en * qn)))
         want = sorted(range(n), key=lambda i: (-sims[i], i))[: min(k, n)]
@@ -176,6 +177,49 @@ def test_retrieve_scale_invariant_indices():
     ref = retrieve_topk(base, q, 4).indices
     for lam in (1e-3, 0.5, 7.0, 1e3):
         assert retrieve_topk(base, lam * q, 4).indices == ref
+
+
+def test_retrieve_zero_norm_vectors_score_zero_similarity():
+    rng = np.random.default_rng(24)
+    base = fill_base(rng, 8, 3)
+    zero = np.zeros(SHAPE)
+    insert_or_replace(base, MemoryEntry(zero, zero, 0.25, zero))
+    conf = sigmoid(base.confidences[:4])
+    res = retrieve_topk(base, rng.normal(size=SHAPE), 4)
+    assert res.scores[res.indices.index(3)] == conf[3]
+    # a zero query has no direction: every entry scores its confidence alone
+    res = retrieve_topk(base, np.zeros(SHAPE), 4)
+    assert res.scores == sorted(conf.tolist(), reverse=True)
+    assert res.indices == base_oracle(base, np.zeros(SHAPE), 4)
+
+
+def test_retrieve_clips_similarity_to_one():
+    # q parallel to the stored row: the rounded quotient can exceed 1
+    rng = np.random.default_rng(25)
+    overshoots = 0
+    for _ in range(50):
+        v = rng.normal(size=SHAPE)
+        q = float(rng.uniform(0.5, 3.0)) * v
+        base = new_base(1, SHAPE)
+        insert_or_replace(base, MemoryEntry(v, v, 0.0, v))
+        # the same operations retrieve_topk runs, without its clip
+        sims = base.image_embeddings[:1] @ q.ravel() / (base.embedding_norms[:1] * np.linalg.norm(q))
+        raw = float(sims[0])
+        overshoots += raw > 1.0
+        assert retrieve_topk(base, q, 1, use_confidence=False).scores == [min(raw, 1.0)]
+    assert overshoots > 0  # the clip was exercised
+
+
+def test_retrieved_arrays_survive_replacement_of_their_slot():
+    rng = np.random.default_rng(26)
+    base = fill_base(rng, 1, 1)
+    res = retrieve_topk(base, rng.normal(size=SHAPE), 1)
+    feat, enc = (a.copy() for a in res.entries[0])
+    new = make_entry(rng, y_hat=float(base.confidences[0]) + 1.0)
+    assert insert_or_replace(base, new).kind == "replaced"
+    assert np.array_equal(res.entries[0][0], feat)
+    assert np.array_equal(res.entries[0][1], enc)
+    assert not np.array_equal(base.mask_features[0], feat.ravel())
 
 
 def test_retrieve_rejects_bad_query_shape():
@@ -245,7 +289,8 @@ def test_replace_when_new_more_confident():
     base = new_base(2, SHAPE)
     weak = make_entry(rng, y_hat=0.3)
     other = make_entry(rng, y_hat=0.8)
-    base.entries.extend([weak, other])
+    for entry in (weak, other):
+        insert_or_replace(base, entry)
     new = MemoryEntry(
         weak.mask_feature.copy(),  # most similar to the weak entry
         rng.normal(size=SHAPE),
@@ -257,7 +302,10 @@ def test_replace_when_new_more_confident():
     assert out.index == 0
     assert out.old_confidence == pytest.approx(0.3)
     assert out.s_max == pytest.approx(1.0)
-    assert base.entries[0] is new
+    assert base.mask_features[0].tobytes() == new.mask_feature.tobytes()
+    assert base.positional_encodings[0].tobytes() == new.positional_encoding.tobytes()
+    assert base.image_embeddings[0].tobytes() == new.image_embedding.tobytes()
+    assert base.confidences[0] == 0.9
 
 
 def test_reject_when_new_less_confident():
@@ -265,7 +313,8 @@ def test_reject_when_new_less_confident():
     base = new_base(2, SHAPE)
     strong = make_entry(rng, y_hat=0.9)
     other = make_entry(rng, y_hat=0.8)
-    base.entries.extend([strong, other])
+    for entry in (strong, other):
+        insert_or_replace(base, entry)
     before = base_bytes(base)
     new = MemoryEntry(
         strong.mask_feature.copy(),
@@ -292,14 +341,14 @@ def test_replacement_monotonicity_randomized():
         cap = int(rng.integers(1, 6))
         base = fill_base(rng, cap, cap)
         for _ in range(20):
-            confidences = [e.y_hat for e in base.entries]
+            confidences = base.confidences[:cap].copy()
             new = make_entry(rng)
             out = insert_or_replace(base, new)
             assert len(base) <= cap
             if out.kind == "replaced":
                 assert new.y_hat > out.old_confidence
                 # the confidence in a slot never decreases once full
-                assert base.entries[out.index].y_hat > confidences[out.index]
+                assert base.confidences[out.index] > confidences[out.index]
 
 
 def test_insert_into_full_base_changes_at_most_one_slot():
@@ -307,9 +356,9 @@ def test_insert_into_full_base_changes_at_most_one_slot():
     for _ in range(50):
         cap = int(rng.integers(2, 6))
         base = fill_base(rng, cap, cap)
-        before = [base_bytes(MemoryBase(1, SHAPE, [e])) for e in base.entries]
+        before = slots(base)
         out = insert_or_replace(base, make_entry(rng))
-        after = [base_bytes(MemoryBase(1, SHAPE, [e])) for e in base.entries]
+        after = slots(base)
         changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
         if out.kind == "replaced":
             assert changed == [out.index]
@@ -330,6 +379,60 @@ def test_insert_shape_check():
         insert_or_replace(base, bad)
 
 
+def test_cached_norms_equal_linalg_norm_bitwise():
+    rng = np.random.default_rng(27)
+    shape = (16, 8, 8)
+    base = fill_base(rng, 8, 8, shape)
+    for _ in range(20):  # replacements rewrite the cached norms too
+        f, pe, e = (rng.normal(size=shape) for _ in range(3))
+        insert_or_replace(base, MemoryEntry(f, pe, float(rng.normal(1.0)), e))
+    for norms, rows in ((base.feature_norms, base.mask_features),
+                        (base.embedding_norms, base.image_embeddings)):
+        assert norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+
+def _cosine_model(a, b):
+    """Pure-python cosine with the 1e-12 zero-norm rule and the clip."""
+    na, nb = math.sqrt(sum(v * v for v in a)), math.sqrt(sum(v * v for v in b))
+    if na < 1e-12 or nb < 1e-12:
+        return 0.0
+    return max(-1.0, min(1.0, sum(x * y for x, y in zip(a, b)) / (na * nb)))
+
+
+_grid_vectors = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 4),
+    inserts=st.lists(st.tuples(_grid_vectors, st.floats(-5.0, 5.0)), max_size=12),
+)
+def test_insert_sequence_matches_list_model(capacity, inserts):
+    # small-integer features make every dot product and norm exact, so the
+    # model's cosines equal the base's bit for bit
+    shape = (1, 2, 2)
+    base = new_base(capacity, shape)
+    model: list[tuple[list[int], float]] = []
+    for j, (feature, y) in enumerate(inserts):
+        f = np.array(feature, dtype=float).reshape(shape)
+        out = insert_or_replace(base, MemoryEntry(f, f, y, f, source_tag=str(j)))
+        if len(model) < capacity:
+            want = "appended"
+            model.append((feature, y))
+        else:
+            sims = [_cosine_model(g, feature) for g, _ in model]
+            i_star = sims.index(max(sims))
+            want = "replaced" if model[i_star][1] < y else "rejected"
+            if want == "replaced":
+                assert out.index == i_star and out.old_confidence == model[i_star][1]
+                model[i_star] = (feature, y)
+        assert out.kind == want
+    n = len(model)
+    assert len(base) == n
+    assert base.mask_features[:n].tolist() == [[float(v) for v in g] for g, _ in model]
+    assert base.confidences[:n].tolist() == [y for _, y in model]
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -343,17 +446,32 @@ def test_stats_empty():
 def test_stats_single_entry():
     rng = np.random.default_rng(15)
     base = new_base(4, SHAPE)
-    base.entries.append(make_entry(rng, y_hat=0.42))
+    insert_or_replace(base, make_entry(rng, y_hat=0.42))
     s = stats(base)
     assert s.mean_y_hat == pytest.approx(0.42)
     assert s.mean_pairwise_similarity is None
+
+
+def test_stats_matches_gram_oracle_with_zero_row():
+    rng = np.random.default_rng(28)
+    for n in (2, 3, 17, 64):
+        base = fill_base(rng, 64, n - 1)
+        zero = np.zeros(SHAPE)
+        insert_or_replace(base, MemoryEntry(zero, zero, 0.0, zero))
+        emb = base.image_embeddings[:n]
+        norms = np.linalg.norm(emb, axis=1)
+        unit = np.zeros_like(emb)
+        unit[norms >= 1e-12] = emb[norms >= 1e-12] / norms[norms >= 1e-12, None]
+        gram = unit @ unit.T
+        want = (gram.sum() - np.trace(gram)) / (n * (n - 1))
+        assert abs(stats(base).mean_pairwise_similarity - want) <= 1e-12
 
 
 def test_stats_mean_of_three():
     rng = np.random.default_rng(16)
     base = new_base(4, SHAPE)
     for y in (0.0, 1.0, 2.0):
-        base.entries.append(make_entry(rng, y_hat=y))
+        insert_or_replace(base, make_entry(rng, y_hat=y))
     s = stats(base)
     assert s.mean_y_hat == pytest.approx(1.0)
     assert s.min_y_hat == 0.0 and s.max_y_hat == 2.0
@@ -374,16 +492,18 @@ def test_roundtrip_empty(tmp_path):
 
 def test_roundtrip_large_bit_identical(tmp_path):
     rng = np.random.default_rng(17)
-    base = fill_base(rng, 640, 640)
-    base.entries[5].source_tag = "task-3/frame-12"
+    base = new_base(640, SHAPE)
+    for i in range(640):
+        insert_or_replace(base, make_entry(rng, tag="task-3/frame-12" if i == 5 else ""))
     path = tmp_path / "full.smb"
     save_base(base, path)
     loaded = load_base(path)
     assert base_bytes(loaded) == base_bytes(base)
-    for a, b in zip(base.entries, loaded.entries):
-        assert a.mask_feature.tobytes() == b.mask_feature.tobytes()
-        assert a.image_embedding.tobytes() == b.image_embedding.tobytes()
-        assert a.source_tag == b.source_tag
+    assert slots(loaded) == slots(base)
+    assert loaded.tags[5] == "task-3/frame-12"
+    # the cached norms are recomputed on load, bit for bit
+    assert loaded.feature_norms[:640].tobytes() == base.feature_norms[:640].tobytes()
+    assert loaded.embedding_norms[:640].tobytes() == base.embedding_norms[:640].tobytes()
 
 
 def test_load_bad_magic(tmp_path):
