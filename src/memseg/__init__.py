@@ -18,7 +18,6 @@ from .kernels import (
     ShapeError,
     attention_params,
     conv3d,
-    finite_diff_grad,
     gelu,
     layer_norm,
     linear,

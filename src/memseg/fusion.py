@@ -75,9 +75,8 @@ def structured_fusion_params(channels: int, key_gain: float = 1.0,
 
 
 def _tokens(t: np.ndarray) -> np.ndarray:
-    # (C, H, W) -> (H*W, C)
-    c, h, w = t.shape
-    return t.transpose(1, 2, 0).reshape(h * w, c)
+    # (..., C, H, W) -> (...*H*W, C)
+    return t.transpose(*range(t.ndim - 3), -2, -1, -3).reshape(-1, t.shape[-3])
 
 
 def fuse(
@@ -109,18 +108,16 @@ def fuse(
     if not retrieved:
         return e.copy()
 
-    kv_blocks = []
     for feat, mem_pe in retrieved:
-        feat = np.asarray(feat, dtype=np.float64)
-        mem_pe = np.asarray(mem_pe, dtype=np.float64)
-        if feat.shape != e.shape or mem_pe.shape != e.shape:
+        if np.shape(feat) != e.shape or np.shape(mem_pe) != e.shape:
             raise ShapeError(
-                f"retrieved entry shapes {tuple(feat.shape)}/{tuple(mem_pe.shape)}"
+                f"retrieved entry shapes {np.shape(feat)}/{np.shape(mem_pe)}"
                 f" do not match query shape {tuple(e.shape)}"
             )
-        block = layer_norm(_tokens(feat), params.ln_kv_gamma, params.ln_kv_beta)
-        kv_blocks.append(block + _tokens(mem_pe))
-    kv = np.concatenate(kv_blocks, axis=0)
+    feats, mem_pes = (np.array(a, dtype=np.float64) for a in zip(*retrieved))
+    # one layer norm over all entries' tokens; rows stay in entry order
+    kv = layer_norm(_tokens(feats), params.ln_kv_gamma, params.ln_kv_beta)
+    kv += _tokens(mem_pes)
 
     tokens = _tokens(e)
     q = layer_norm(tokens, params.ln_q_gamma, params.ln_q_beta) + _tokens(pe)

@@ -1,5 +1,5 @@
 """Dense numeric kernels: normalization, projections, 3D convolution,
-attention, activations, and a finite-difference harness.
+attention and activations.
 
 Tensors are C-contiguous arrays with explicit shapes.  Forward kernels keep
 a floating input's dtype (float64 in production, longdouble in the gradient
@@ -254,13 +254,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x) -> np.ndarray:
     """GELU with the tanh approximation."""
     x = _float(x)
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu_grad(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
@@ -355,26 +355,3 @@ def multi_head_attention_vjp(g, q, k, v, params: AttentionParams):
     dw_k = np.einsum("btd,bte->de", kf, d_kp)
     dw_v = np.einsum("btd,bte->de", vf, d_vp)
     return dq, dk, dv, dw_q, dw_k, dw_v, dw_o
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-
-def finite_diff_grad(f, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient estimate of scalar-valued f at x."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    # own a contiguous copy so the in-place perturbation is visible to f
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        grad.ravel()[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -19,6 +19,7 @@ only inside the retrieval score, and replacement compares raw values
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -95,10 +96,11 @@ class MemoryBase:
     (C, H, W), kept as struct-of-arrays.  Slot i is row i of
     ``mask_features``, ``positional_encodings`` and ``image_embeddings``
     (each tensor flattened to C*H*W float64 values), ``confidences[i]``
-    (raw), ``feature_norms[i]``/``embedding_norms[i]`` (the cached L2 norms
-    of its mask feature and image embedding) and ``tags[i]``.  Only the
-    first ``len(base)`` rows are live; the rest come from ``np.empty`` and
-    take no resident memory until written."""
+    (raw), ``squashed[i]`` (its cached sigmoid), ``feature_norms[i]``/
+    ``embedding_norms[i]`` (the cached L2 norms of its mask feature and
+    image embedding) and ``tags[i]``.  Only the first ``len(base)`` rows
+    are live; the rest come from ``np.empty`` and take no resident memory
+    until written."""
 
     def __init__(self, capacity: int, feature_shape: tuple[int, int, int]):
         if capacity < 0:
@@ -112,8 +114,8 @@ class MemoryBase:
         self.mask_features, self.positional_encodings, self.image_embeddings = (
             np.empty(rows, _F8) for _ in range(3)
         )
-        self.confidences, self.feature_norms, self.embedding_norms = (
-            np.empty(self.capacity) for _ in range(3)
+        self.confidences, self.squashed, self.feature_norms, self.embedding_norms = (
+            np.empty(self.capacity) for _ in range(4)
         )
         self.tags: list[str] = []
 
@@ -152,11 +154,18 @@ def _put(base: MemoryBase, i: int, entry: MemoryEntry) -> None:
     base.mask_features[i] = entry.mask_feature.reshape(-1)
     base.positional_encodings[i] = entry.positional_encoding.reshape(-1)
     base.image_embeddings[i] = entry.image_embedding.reshape(-1)
-    base.confidences[i] = entry.y_hat
+    _seal(base, i, entry.y_hat, entry.source_tag)
+
+
+def _seal(base: MemoryBase, i: int, y_hat: float, tag: str) -> None:
+    """Record slot i's confidence and tag once its rows are written, and
+    cache the values derived from them."""
+    base.confidences[i] = y_hat
+    base.squashed[i : i + 1] = sigmoid(base.confidences[i : i + 1])
     # sqrt(add.reduce(r**2)) is bit-identical to np.linalg.norm(rows, axis=1)
     base.feature_norms[i] = np.sqrt(np.add.reduce(base.mask_features[i] ** 2))
     base.embedding_norms[i] = np.sqrt(np.add.reduce(base.image_embeddings[i] ** 2))
-    base.tags[i : i + 1] = [entry.source_tag]
+    base.tags[i : i + 1] = [tag]
 
 
 def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -208,7 +217,7 @@ def retrieve_topk(
         base.image_embeddings[:n], base.embedding_norms[:n], embedding_new.ravel()
     )
     if use_confidence:
-        scores = scores + sigmoid(base.confidences[:n])
+        scores = scores + base.squashed[:n]
     # lexsort: primary key -scores ascending (= scores descending), ties by index
     order = np.lexsort((np.arange(n), -scores))[: min(k, n)]
     idx = [int(i) for i in order]
@@ -229,7 +238,7 @@ def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
     # no query embedding is involved, so the similarity term is 0 and the
     # reported score is just the squashed confidence
     scored = sorted(
-        ((float(sigmoid(base.confidences[i])), int(i)) for i in chosen),
+        ((float(base.squashed[i]), int(i)) for i in chosen),
         key=lambda t: (-t[0], t[1]),
     )
     return _selected(base, [i for _, i in scored], [s for s, _ in scored])
@@ -317,49 +326,47 @@ def save_base(base: MemoryBase, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.pos = 0
+    """Sequential reads from a memory file, checked against its size first
+    so a corrupt length field can neither over-read nor over-allocate."""
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.data):
+    def __init__(self, fh):
+        self.fh, self.left = fh, os.fstat(fh.fileno()).st_size
+
+    def take(self, n: int, what: str, into: np.ndarray | None = None):
+        """The next n bytes, or read them straight into the array ``into``."""
+        if n > self.left:
             raise TruncatedFileError(
-                f"truncated file: needed {n} bytes for {what}, had"
-                f" {len(self.data) - self.pos}"
+                f"truncated file: needed {n} bytes for {what}, had {self.left}"
             )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.left -= n
+        return self.fh.read(n) if into is None else self.fh.readinto(into)
 
 
 def load_base(path) -> MemoryBase:
-    """Read a memory file written by save_base; round-trips bit-exactly."""
+    """Read a memory file written by save_base; round-trips bit-exactly.
+    Rows are read straight into the base, so loading holds no file image."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    magic = bytes(r.take(4, "magic"))
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic: expected {MAGIC!r}, got {magic!r}")
-    version, capacity, count, c, h, w = struct.unpack("<IIIIII", r.take(24, "header"))
-    if version != VERSION:
-        raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
-    if c < 1 or h < 1 or w < 1:
-        raise ShapeInconsistencyError(f"non-positive feature shape ({c}, {h}, {w})")
-    if count > capacity:
-        raise ShapeInconsistencyError(f"count {count} exceeds capacity {capacity}")
-    base = new_base(capacity, (c, h, w))
-    n = c * h * w
-    for i in range(count):
-        (y_hat,) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
-        (tag_len,) = struct.unpack("<I", r.take(4, f"entry {i} tag length"))
-        tag = str(r.take(tag_len, f"entry {i} tag"), "utf-8")
-        # views into the file image; _put copies them straight into the rows
-        arrays = [
-            np.frombuffer(r.take(8 * n, f"entry {i} {what}"), dtype=_F8).reshape(c, h, w)
-            for what in ("mask feature", "positional encoding", "image embedding")
-        ]
-        _put(base, i, MemoryEntry(arrays[0], arrays[1], y_hat, arrays[2], source_tag=tag))
-    if r.pos != len(r.data):
-        raise ShapeInconsistencyError(
-            f"{len(r.data) - r.pos} unexpected trailing bytes"
-        )
+        r = _Reader(fh)
+        magic = r.take(4, "magic")
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic: expected {MAGIC!r}, got {magic!r}")
+        version, capacity, count, c, h, w = struct.unpack("<IIIIII", r.take(24, "header"))
+        if version != VERSION:
+            raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
+        if c < 1 or h < 1 or w < 1:
+            raise ShapeInconsistencyError(f"non-positive feature shape ({c}, {h}, {w})")
+        if count > capacity:
+            raise ShapeInconsistencyError(f"count {count} exceeds capacity {capacity}")
+        base = new_base(capacity, (c, h, w))
+        for i in range(count):
+            (y_hat,) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
+            (tag_len,) = struct.unpack("<I", r.take(4, f"entry {i} tag length"))
+            tag = str(r.take(tag_len, f"entry {i} tag"), "utf-8")
+            for rows, what in ((base.mask_features, "mask feature"),
+                               (base.positional_encodings, "positional encoding"),
+                               (base.image_embeddings, "image embedding")):
+                r.take(rows[i].nbytes, f"entry {i} {what}", into=rows[i])
+            _seal(base, i, y_hat, tag)
+    if r.left:
+        raise ShapeInconsistencyError(f"{r.left} unexpected trailing bytes")
     return base

@@ -118,15 +118,18 @@ def _patch_tokens(features: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 PE_AMPLITUDE = 2.5  # position terms must dominate content terms in matching
 
 
+@lru_cache(maxsize=256)
 def positional_encoding(cfg: EncoderConfig, slice_index: int) -> np.ndarray:
     """The encoder's PE: sinusoidal, with the decoder read-out direction
     projected out so positional signal entering attention values can never
     masquerade as mask evidence (the co-adaptation a trained model would
-    exhibit)."""
+    exhibit).  Cached, so the array is read-only."""
     pe = sinusoidal_pe(cfg.channels, cfg.grid, cfg.grid, slice_index, PE_AMPLITUDE)
     w_dir, _ = _read_out(cfg)
     unit = w_dir / np.linalg.norm(w_dir)
-    return pe - np.einsum("chw,c->hw", pe, unit)[None, :, :] * unit[:, None, None]
+    pe -= np.einsum("chw,c->hw", pe, unit)[None, :, :] * unit[:, None, None]
+    pe.flags.writeable = False
+    return pe
 
 
 def encode_stack(
@@ -264,7 +267,7 @@ def predict(
     w_dir, tau = _read_out(cfg)
     scores = np.einsum("chw,c->hw", e_cond, w_dir)
     tokens_on = scores > tau
-    up = np.kron(tokens_on, np.ones((cfg.patch_size, cfg.patch_size), dtype=bool))
+    up = tokens_on.repeat(cfg.patch_size, 0).repeat(cfg.patch_size, 1)
     x0, y0, x1, y1 = prompt.bbox
     box = np.zeros_like(up)
     box[y0:y1, x0:x1] = True

@@ -17,6 +17,7 @@ and must never leak into the model path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,43 +67,61 @@ class Frame:
 IMG_CHANNELS = 4
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached arrays read-only, so no caller can change them for the next."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=1)
 def base_signatures() -> tuple[np.ndarray, np.ndarray]:
     """Task-independent foreground/background channel directions; a fixed
     read-out along their difference can see every task's foreground."""
     base = np.random.default_rng(0xBA5E)
-    return base.normal(0.0, 1.0, IMG_CHANNELS), base.normal(0.0, 1.0, IMG_CHANNELS)
+    return _frozen(base.normal(0.0, 1.0, IMG_CHANNELS), base.normal(0.0, 1.0, IMG_CHANNELS))
 
 
-def _task_appearance(task: TaskSpec, size: int):
+@lru_cache(maxsize=8)
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates of a size x size image, scaled to [0, 1]."""
+    return _frozen(*np.mgrid[0:size, 0:size] / max(size - 1, 1))
+
+
+@lru_cache(maxsize=64)
+def _task_appearance(projection_seed: int, size: int):
     """Per-task fixed signatures and texture, derived only from the task."""
-    rng = np.random.default_rng(np.random.SeedSequence([task.projection_seed, 0xA99]))
+    rng = np.random.default_rng(np.random.SeedSequence([projection_seed, 0xA99]))
     fg_base, bg_base = base_signatures()
     fg = fg_base + 0.6 * rng.normal(0.0, 1.0, IMG_CHANNELS)
     bg = bg_base + 0.6 * rng.normal(0.0, 1.0, IMG_CHANNELS)
-    yy, xx = np.mgrid[0:size, 0:size] / max(size - 1, 1)
+    yy, xx = _grid(size)
     phase = rng.uniform(0, 2 * np.pi, 2)
     freq = rng.uniform(1.0, 3.0, 2)
     texture = 0.25 * (
         np.sin(2 * np.pi * freq[0] * yy + phase[0])
         + np.cos(2 * np.pi * freq[1] * xx + phase[1])
     )
-    return fg, bg, texture
+    return _frozen(fg, bg, texture)
 
 
-def _shape_mask(task: TaskSpec, t: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    drift = np.random.default_rng(
-        np.random.SeedSequence([task.projection_seed, 0xD21F7])
-    )
+@lru_cache(maxsize=64)
+def _drift(projection_seed: int) -> tuple[float, ...]:
+    """A task's start center, velocity and semi-axes: (cx0, cy0, vx, vy, ax, ay)."""
+    drift = np.random.default_rng(np.random.SeedSequence([projection_seed, 0xD21F7]))
     cx0, cy0 = drift.uniform(0.35, 0.65, 2)
     vx, vy = drift.uniform(-0.008, 0.008, 2)
-    ax = drift.uniform(0.18, 0.26)
-    ay = drift.uniform(0.18, 0.26)
+    return cx0, cy0, vx, vy, drift.uniform(0.18, 0.26), drift.uniform(0.18, 0.26)
+
+
+def _shape_mask(task: TaskSpec, t: int, size: int) -> np.ndarray:
+    cx0, cy0, vx, vy, ax, ay = _drift(task.projection_seed)
     # smooth drift: slow linear motion plus a gentle sine wobble, slow
     # relative to the object size so neighbouring slices mostly overlap
     cx = cx0 + vx * t + 0.015 * np.sin(0.5 * t)
     cy = cy0 + vy * t + 0.015 * np.cos(0.5 * t)
     cx, cy = np.clip(cx, 0.25, 0.75), np.clip(cy, 0.25, 0.75)
-    yy, xx = np.mgrid[0:size, 0:size] / max(size - 1, 1)
+    yy, xx = _grid(size)
     if task.shape_family == "ellipse":
         mask = ((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0
     else:
@@ -141,13 +160,10 @@ def gen_frame(task: TaskSpec, t: int, rng_seed: int, size: int = 32) -> Frame:
     rng = np.random.default_rng(
         np.random.SeedSequence([rng_seed, task.projection_seed, t])
     )
-    fg, bg, texture = _task_appearance(task, size)
-    clean = _shape_mask(task, t, size, rng)
-    features = (
-        clean[:, :, None] * fg[None, None, :]
-        + (1 - clean)[:, :, None] * bg[None, None, :]
-        + texture[:, :, None]
-    )
+    fg, bg, texture = _task_appearance(task.projection_seed, size)
+    clean = _shape_mask(task, t, size)
+    # for a 0/1 mask this equals mask * fg + (1 - mask) * bg bit for bit
+    features = np.where(clean[..., None] == 1, fg, bg) + texture[..., None]
     if task.noise.feature_noise_sigma > 0:
         features = features + rng.normal(
             0.0, task.noise.feature_noise_sigma, features.shape

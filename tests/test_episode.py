@@ -1,5 +1,8 @@
 """Tests for the continual-learning episode runner."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,19 @@ def quick_tasks(count=2, corrupt=0.0, sigma=0.5):
         count,
         NoiseConfig(label_corrupt_prob=corrupt, feature_noise_sigma=sigma),
     )
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_default_episode_digests_match_reference():
+    """Seeds 0 and 1 of the A5 cs640 episode reproduce the benchmark's
+    recorded prediction digests."""
+    want = json.loads(REFERENCE.read_text())["episode_default"]
+    tasks = make_tasks(10, NoiseConfig(label_corrupt_prob=0.3, feature_noise_sigma=1.0))
+    mem = MemoryConfig(capacity=640, k=4, retrieval="confidence_similarity")
+    report = run_episode(tasks, mem, [0, 1], EpisodeSettings(volumes_per_task=2))
+    assert [r["prediction_digest"] for r in report.per_seed] == [want["0"], want["1"]]
 
 
 def test_report_schema_well_formed():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memseg.fusion import FusionParams, fuse, fusion_params, structured_fusion_params
-from memseg.kernels import AttentionParams, ShapeError, layer_norm
+from memseg.kernels import AttentionParams, ShapeError, layer_norm, multi_head_attention
 
 C, H, W = 4, 3, 3
 SHAPE = (C, H, W)
@@ -93,3 +93,41 @@ def test_fuse_deterministic():
     pe = rng.normal(size=SHAPE)
     retrieved = [(rng.normal(size=SHAPE), rng.normal(size=SHAPE)) for _ in range(3)]
     assert np.array_equal(fuse(e, pe, retrieved, p), fuse(e, pe, retrieved, p))
+
+
+def _tokens(t):
+    return t.transpose(1, 2, 0).reshape(-1, t.shape[0])
+
+
+def fuse_per_entry(e, pe, retrieved, p):
+    """Reference: one layer norm per retrieved entry, blocks concatenated."""
+    kv = np.concatenate([
+        layer_norm(_tokens(f), p.ln_kv_gamma, p.ln_kv_beta) + _tokens(mem_pe)
+        for f, mem_pe in retrieved
+    ])
+    tokens = _tokens(e)
+    q = layer_norm(tokens, p.ln_q_gamma, p.ln_q_beta) + _tokens(pe)
+    out = tokens + multi_head_attention(q, kv, kv, p.attn)
+    return out.reshape(H, W, C).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_layer_norm_matches_per_entry_loop(n):
+    rng = np.random.default_rng(20 + n)
+    p = random_params(30 + n)
+    p.ln_kv_gamma[:] = rng.normal(size=C)
+    p.ln_kv_beta[:] = rng.normal(size=C)
+    e, pe = rng.normal(size=SHAPE), rng.normal(size=SHAPE)
+    retrieved = [(rng.normal(size=SHAPE), rng.normal(size=SHAPE)) for _ in range(n)]
+    got = fuse(e, pe, retrieved, p)
+    assert np.max(np.abs(got - fuse_per_entry(e, pe, retrieved, p))) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_one_mismatched_entry_among_several_raises(bad):
+    rng = np.random.default_rng(40)
+    retrieved = [(rng.normal(size=SHAPE), rng.normal(size=SHAPE)) for _ in range(4)]
+    f, mem_pe = retrieved[bad]
+    retrieved[bad] = (f, mem_pe[:, :, :-1]) if bad % 2 else (f[:-1], mem_pe)
+    with pytest.raises(ShapeError, match="retrieved entry shapes"):
+        fuse(rng.normal(size=SHAPE), rng.normal(size=SHAPE), retrieved, random_params(41))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from finite_diff import finite_diff_grad
 
 from memseg.kernels import (
     AttentionParams,
@@ -11,7 +12,6 @@ from memseg.kernels import (
     attention_params,
     conv3d,
     conv3d_vjp,
-    finite_diff_grad,
     gelu,
     gelu_grad,
     layer_norm,
@@ -207,6 +207,27 @@ def test_sigmoid_values():
 
 def test_gelu_zero():
     assert float(gelu(0.0)) == 0.0
+
+
+def _gelu_power_reference(x):
+    inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * np.power(x, 3))
+    t = np.tanh(inner)
+    dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+
+
+def test_gelu_cube_agrees_with_power_formula():
+    # x*x*x rounds twice where pow rounds once; on the negative tail 1 + tanh
+    # cancels and amplifies that ulp, so the floor is absolute there
+    x = np.linspace(-6.0, 6.0, 4001)
+    ref, ref_grad = _gelu_power_reference(x)
+    np.testing.assert_allclose(gelu(x), ref, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(gelu_grad(x), ref_grad, rtol=1e-15, atol=1e-15)
+    xl = x.astype(np.longdouble)
+    assert gelu(xl).dtype == np.longdouble
+    ref_l, _ = _gelu_power_reference(xl)
+    np.testing.assert_allclose(gelu(xl).astype(np.float64), ref_l.astype(np.float64),
+                               rtol=1e-15, atol=1e-15)
 
 
 def test_gelu_grad_matches_finite_diff():

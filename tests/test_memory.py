@@ -506,6 +506,46 @@ def test_roundtrip_large_bit_identical(tmp_path):
     assert loaded.embedding_norms[:640].tobytes() == base.embedding_norms[:640].tobytes()
 
 
+def test_squashed_confidences_match_vectorised_sigmoid(tmp_path):
+    def check(b):
+        n = len(b)
+        assert b.squashed[:n].tobytes() == sigmoid(b.confidences[:n]).tobytes()
+
+    rng = np.random.default_rng(23)
+    base = new_base(40, SHAPE)
+    for _ in range(40):
+        insert_or_replace(base, make_entry(rng, y_hat=rng.normal(0.0, 30.0)))
+    check(base)
+    kinds = [insert_or_replace(base, make_entry(rng, y_hat=rng.normal(0.0, 30.0))).kind
+             for _ in range(60)]
+    assert "replaced" in kinds
+    check(base)
+    path = tmp_path / "sq.smb"
+    save_base(base, path)
+    loaded = load_base(path)
+    check(loaded)
+    assert loaded.squashed[:40].tobytes() == base.squashed[:40].tobytes()
+
+
+def test_load_errors_report_byte_counts(tmp_path):
+    import struct as _struct
+
+    rng = np.random.default_rng(24)
+    path = tmp_path / "e.smb"
+    save_base(fill_base(rng, 4, 2), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-10])
+    with pytest.raises(TruncatedFileError, match="needed 64 bytes for entry 1 image embedding, had 54"):
+        load_base(path)
+    # a corrupt tag length is checked against the file size before any read
+    path.write_bytes(data[:36] + _struct.pack("<I", 0xFFFFFFFF) + data[40:])
+    with pytest.raises(TruncatedFileError, match="needed 4294967295 bytes for entry 0 tag"):
+        load_base(path)
+    path.write_bytes(data + b"\x01" * 3)
+    with pytest.raises(ShapeInconsistencyError, match="^3 unexpected trailing bytes$"):
+        load_base(path)
+
+
 def test_load_bad_magic(tmp_path):
     path = tmp_path / "bad.smb"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

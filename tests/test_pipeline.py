@@ -104,6 +104,15 @@ def test_positional_encoding_orthogonal_to_read_out():
     assert np.abs(leak).max() < 1e-12
 
 
+def test_positional_encoding_cached_read_only():
+    pe = positional_encoding(CFG, 5)
+    assert positional_encoding(CFG, 5) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0, 0] = 1.0
+    assert positional_encoding.__wrapped__(CFG, 5).tobytes() == pe.tobytes()
+
+
 def test_mask_feature_shape_and_determinism():
     f = clean_frame()
     a = mask_feature(f.mask, CFG)
@@ -216,6 +225,20 @@ def test_predict_miscalibration_only_touches_corrupted():
     _, y3 = predict(e, prompt, corrupted, CFG, miscalibration=2.0, rng_seed=5)
     assert y2 != y1  # corrupted frame: perturbed
     assert y2 == y3  # deterministic per seed
+
+
+def test_predict_upsampling_matches_kron():
+    from memseg.pipeline import _read_out
+
+    rng = np.random.default_rng(8)
+    w_dir, tau = _read_out(CFG)
+    frame = clean_frame()
+    for _ in range(5):
+        e = rng.normal(0.0, 3.0, CFG.feature_shape)
+        on = np.einsum("chw,c->hw", e, w_dir) > tau
+        want = np.kron(on, np.ones((CFG.patch_size, CFG.patch_size), dtype=bool))
+        mask_hat, _ = predict(e, encode_prompt((0, 0, 32, 32)), frame, CFG)
+        assert mask_hat.tobytes() == want.astype(np.uint8).tobytes()
 
 
 def test_predict_gates_to_prompt_box():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from memseg import synth
 from memseg.synth import (
     Frame,
     NoiseConfig,
@@ -46,6 +47,35 @@ def test_gen_frame_varies_with_seed_and_t():
     c = gen_frame(clean, 0, 1)
     d = gen_frame(clean, 5, 1)
     assert not np.array_equal(c.mask, d.mask)  # drift moved the shape
+
+
+def test_cached_appearance_arrays_read_only():
+    cached = [*synth.base_signatures(), *synth._task_appearance(11, 32), *synth._grid(32)]
+    for a in cached:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("family", ["ellipse", "rectangle"])
+def test_gen_frame_equals_uncached_output(monkeypatch, family):
+    tasks = [make_task(corrupt=0.5, sigma=s, seed=seed, family=family)
+             for seed in (11, 12) for s in (0.0, 0.7)]
+    keys = [(task, t, size) for task in tasks for t in range(6) for size in (16, 32)]
+    cached = [gen_frame(task, t, 9, size) for task, t, size in keys]
+    for name in ("base_signatures", "_grid", "_task_appearance", "_drift"):
+        monkeypatch.setattr(synth, name, getattr(synth, name).__wrapped__)
+    for (task, t, size), got in zip(keys, cached):
+        want = gen_frame(task, t, 9, size)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert got.is_corrupted == want.is_corrupted
+        if task.noise.feature_noise_sigma == 0.0:
+            # the arithmetic blend that the np.where rendering replaces
+            fg, bg, texture = synth._task_appearance(task.projection_seed, size)
+            clean = synth._shape_mask(task, t, size)[:, :, None]
+            blend = clean * fg + (1 - clean) * bg + texture[:, :, None]
+            assert got.features.tobytes() == blend.tobytes()
 
 
 def test_gen_frame_mask_binary_and_nonempty():
