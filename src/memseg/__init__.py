@@ -55,7 +55,6 @@ from .pipeline import (
     EncoderConfig,
     PromptEmbedding,
     bbox_of,
-    encode,
     encode_prompt,
     encode_stack,
     mask_feature,

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import block_param_arrays, block_params, grad_check
-from .config import SCHEMA, ConfigError, load_config, parse_override_pairs
-from .episode import MemoryConfig, run_episode
+from .config import KEYS, ConfigError, load_config, parse_override_pairs
+from .episode import run_episode
 from .memory import (
     MemoryEntry,
     MemoryFileError,
@@ -144,6 +144,9 @@ def _random_base(rng, capacity, count, shape, tag_prefix=""):
 
 
 def cmd_memcheck(args) -> int:
+    if args.trials < 1:
+        print("memcheck: --trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     print(f"memcheck: {args.trials} trials, master seed {args.seed}")
     shape = (2, 2, 4)
@@ -227,15 +230,19 @@ def _config_from_args(args):
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_episode(cfg.tasks(), cfg.memory(), cfg.seeds(), cfg.settings())
-    for row in report.per_seed:
-        path = out_dir / f"episode_seed{row['seed']}.json"
-        path.write_text(
-            json.dumps({"config": report.config, "result": row}, sort_keys=True, indent=2)
-        )
-    agg_path = out_dir / "aggregate.json"
-    agg_path.write_text(report.to_json())
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report = run_episode(cfg.tasks(), cfg.memory, cfg.seeds, cfg.settings)
+        for row in report.per_seed:
+            path = out_dir / f"episode_seed{row['seed']}.json"
+            path.write_text(
+                json.dumps({"config": report.config, "result": row}, sort_keys=True, indent=2)
+            )
+        agg_path = out_dir / "aggregate.json"
+        agg_path.write_text(report.to_json())
+    except OSError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(
         f"simulate: {len(report.per_seed)} seed(s), mean DSC"
         f" {report.aggregate['mean_dsc']:.4f}, mean forgetting"
@@ -250,24 +257,17 @@ ABLATION_RETRIEVALS = ("random", "confidence_similarity")
 
 
 def _ablate_cell(payload):
-    cfg_values, capacity, retrieval, adapter_on, confidence_on = payload
-    from .config import RunConfig
-
-    cfg = RunConfig(values=dict(cfg_values))
-    mem = MemoryConfig(
-        capacity=capacity,
-        k=cfg["memory.k"],
-        retrieval=retrieval,
-        use_confidence=confidence_on,
-    )
-    settings = replace(cfg.settings(), adapter_enabled=adapter_on)
-    report = run_episode(cfg.tasks(), mem, cfg.seeds(), settings)
+    cfg, capacity, retrieval, adapter_on, confidence_on = payload
+    mem = replace(cfg.memory, capacity=capacity, retrieval=retrieval,
+                  use_confidence=confidence_on)
+    settings = replace(cfg.settings, adapter_enabled=adapter_on)
+    report = run_episode(cfg.tasks(), mem, cfg.seeds, settings)
     return {
         "capacity": capacity,
         "retrieval": retrieval,
         "adapter": "on" if adapter_on else "off",
         "confidence": "on" if confidence_on else "off",
-        "seeds": len(cfg.seeds()),
+        "seeds": len(cfg.seeds),
         "mean_dsc": report.aggregate["mean_dsc"],
         "std_dsc": report.aggregate["std_dsc"],
         "mean_stream_dsc": report.aggregate["mean_stream_dsc"],
@@ -275,59 +275,50 @@ def _ablate_cell(payload):
     }
 
 
-CSV_FIELDS = [
-    "capacity",
-    "retrieval",
-    "adapter",
-    "confidence",
-    "seeds",
-    "mean_dsc",
-    "std_dsc",
-    "mean_stream_dsc",
-    "mean_forgetting",
-]
-
-
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     cells = [
-        (tuple(cfg.values.items()), capacity, retrieval, adapter_on, confidence_on)
+        (cfg, capacity, retrieval, adapter_on, confidence_on)
         for capacity in ABLATION_CAPACITIES
         for retrieval in ABLATION_RETRIEVALS
         for adapter_on in (True, False)
         for confidence_on in (True, False)
     ]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_ablate_cell, cells))
-    else:
-        rows = [_ablate_cell(c) for c in cells]
-    # order-stable output regardless of completion order
-    rows.sort(key=lambda r: (r["capacity"], r["retrieval"], r["adapter"], r["confidence"]))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    meta = out.with_suffix(out.suffix + ".meta.json")
-    meta.write_text(
-        json.dumps(
-            {
-                "effective_config": dict(cfg.values),
-                "axes": {
-                    "capacity": list(ABLATION_CAPACITIES),
-                    "retrieval": list(ABLATION_RETRIEVALS),
-                    "adapter": ["on", "off"],
-                    "confidence": ["on", "off"],
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if args.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                rows = list(pool.map(_ablate_cell, cells))
+        else:
+            rows = [_ablate_cell(c) for c in cells]
+        # order-stable output regardless of completion order
+        rows.sort(key=lambda r: (r["capacity"], r["retrieval"], r["adapter"], r["confidence"]))
+        with open(out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        meta = out.with_suffix(out.suffix + ".meta.json")
+        meta.write_text(
+            json.dumps(
+                {
+                    "effective_config": cfg.flat(),
+                    "axes": {
+                        "capacity": list(ABLATION_CAPACITIES),
+                        "retrieval": list(ABLATION_RETRIEVALS),
+                        "adapter": ["on", "off"],
+                        "confidence": ["on", "off"],
+                    },
                 },
-            },
-            sort_keys=True,
-            indent=2,
+                sort_keys=True,
+                indent=2,
+            )
         )
-    )
+    except OSError as exc:
+        print(f"ablate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"ablate: wrote {len(rows)} cells to {out}")
     return EXIT_OK
 
@@ -343,6 +334,9 @@ def cmd_mem_export(args) -> int:
             f" got {args.capacity} and {args.shape}",
             file=sys.stderr,
         )
+        return EXIT_USAGE
+    if args.count < 0:
+        print(f"mem-export: --count must be >= 0, got {args.count}", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     count = min(args.count, args.capacity)
@@ -451,7 +445,7 @@ def _split_config_flags(argv: list[str]) -> tuple[list[str], dict]:
         tok = argv[i]
         if tok.startswith("--"):
             key, eq, val = tok[2:].partition("=")
-            if key in SCHEMA:
+            if key in KEYS:
                 if eq:
                     overrides[key] = val
                     i += 1

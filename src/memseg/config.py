@@ -1,15 +1,17 @@
 """Run configuration: a JSON file of flat dotted keys plus flag overrides.
 
-Every key has a declared type and default; unknown keys are rejected
-before any computation, and type errors name the offending key.  Command
-line overrides use the same dotted names (``--set memory.capacity=0`` or
-the shorthand ``--memory.capacity 0``).
+Each dotted key names one field of the objects a run uses -- the
+``NoiseConfig``, ``MemoryConfig`` and ``EpisodeSettings`` dataclasses, or
+``RunConfig`` itself -- and takes that field's default and type.  Unknown
+keys are rejected before any computation, and type errors name the
+offending key.  Command line overrides use the same dotted names
+(``--set memory.capacity=0`` or the shorthand ``--memory.capacity 0``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .episode import EpisodeSettings, MemoryConfig, build_model, make_tasks
@@ -18,6 +20,65 @@ from .synth import NoiseConfig
 
 class ConfigError(ValueError):
     """Invalid run configuration; message names the key and problem."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a simulate/ablate run uses; the run's noise defaults to
+    label noise 0.3 and feature noise 1.0."""
+
+    noise: NoiseConfig = NoiseConfig(label_corrupt_prob=0.3, feature_noise_sigma=1.0)
+    memory: MemoryConfig = MemoryConfig()
+    settings: EpisodeSettings = EpisodeSettings()
+    task_count: int = 10
+    base_seed: int = 100
+    seeds: tuple[int, ...] = (0, 1, 2)
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+
+    def tasks(self):
+        return make_tasks(self.task_count, self.noise, base_seed=self.base_seed)
+
+    def flat(self) -> dict:
+        """The configuration as dotted key -> value."""
+        out = {}
+        for key, (name, sub) in KEYS.items():
+            value = getattr(self, name)
+            out[key] = value if sub is None else getattr(value, sub)
+        return out
+
+
+# dotted key -> (RunConfig field, field of that object or None)
+KEYS: dict[str, tuple[str, str | None]] = {
+    "tasks.count": ("task_count", None),
+    "tasks.base_seed": ("base_seed", None),
+    "noise.label_corrupt_prob": ("noise", "label_corrupt_prob"),
+    "noise.feature_noise_sigma": ("noise", "feature_noise_sigma"),
+    "noise.confidence_miscalibration": ("noise", "confidence_miscalibration"),
+    "memory.capacity": ("memory", "capacity"),
+    "memory.k": ("memory", "k"),
+    "memory.use_confidence": ("memory", "use_confidence"),
+    "retrieval": ("memory", "retrieval"),
+    "adapter.enabled": ("settings", "adapter_enabled"),
+    "model.seed": ("settings", "model_seed"),
+    "model.channels": ("settings", "channels"),
+    "model.blocks": ("settings", "num_blocks"),
+    "model.bottleneck": ("settings", "bottleneck"),
+    "model.heads": ("settings", "num_heads"),
+    "image.size": ("settings", "image_size"),
+    "image.patch": ("settings", "patch_size"),
+    "stream.volumes_per_task": ("settings", "volumes_per_task"),
+    "stream.slices_per_volume": ("settings", "slices_per_volume"),
+    "fusion.key_gain": ("settings", "fusion_key_gain"),
+    "fusion.value_gain": ("settings", "fusion_value_gain"),
+    "fusion.out_gain": ("settings", "fusion_out_gain"),
+    "report.log_retrievals": ("settings", "log_retrievals"),
+    "seeds": ("seeds", None),
+}
 
 
 def _bool(v):
@@ -36,94 +97,19 @@ def _int_list(v):
         v = [p for p in v.replace(",", " ").split() if p]
     if not isinstance(v, (list, tuple)):
         raise ValueError(f"expected a list of integers, got {v!r}")
-    return [int(x) for x in v]
+    return tuple(int(x) for x in v)
 
 
-# key -> (parser, default)
-SCHEMA: dict[str, tuple] = {
-    "tasks.count": (int, 10),
-    "tasks.base_seed": (int, 100),
-    "noise.label_corrupt_prob": (float, 0.3),
-    "noise.feature_noise_sigma": (float, 1.0),
-    "noise.confidence_miscalibration": (float, 0.0),
-    "memory.capacity": (int, 640),
-    "memory.k": (int, 4),
-    "memory.use_confidence": (_bool, True),
-    "retrieval": (str, "confidence_similarity"),
-    "adapter.enabled": (_bool, True),
-    "model.seed": (int, 777),
-    "model.channels": (int, 16),
-    "model.blocks": (int, 1),
-    "model.bottleneck": (int, 4),
-    "model.heads": (int, 2),
-    "image.size": (int, 32),
-    "image.patch": (int, 4),
-    "stream.volumes_per_task": (int, 2),
-    "stream.slices_per_volume": (int, 8),
-    "fusion.key_gain": (float, 1.5),
-    "fusion.value_gain": (float, 1.0),
-    "fusion.out_gain": (float, 1.5),
-    "report.log_retrievals": (_bool, False),
-    "seeds": (_int_list, [0, 1, 2]),
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated flat configuration for simulate/ablate runs."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def tasks(self):
-        return make_tasks(
-            self["tasks.count"],
-            NoiseConfig(
-                label_corrupt_prob=self["noise.label_corrupt_prob"],
-                feature_noise_sigma=self["noise.feature_noise_sigma"],
-                confidence_miscalibration=self["noise.confidence_miscalibration"],
-            ),
-            base_seed=self["tasks.base_seed"],
-        )
-
-    def memory(self) -> MemoryConfig:
-        return MemoryConfig(
-            capacity=self["memory.capacity"],
-            k=self["memory.k"],
-            retrieval=self["retrieval"],
-            use_confidence=self["memory.use_confidence"],
-        )
-
-    def settings(self) -> EpisodeSettings:
-        return EpisodeSettings(
-            image_size=self["image.size"],
-            patch_size=self["image.patch"],
-            channels=self["model.channels"],
-            num_blocks=self["model.blocks"],
-            bottleneck=self["model.bottleneck"],
-            num_heads=self["model.heads"],
-            adapter_enabled=self["adapter.enabled"],
-            model_seed=self["model.seed"],
-            volumes_per_task=self["stream.volumes_per_task"],
-            slices_per_volume=self["stream.slices_per_volume"],
-            fusion_key_gain=self["fusion.key_gain"],
-            fusion_value_gain=self["fusion.value_gain"],
-            fusion_out_gain=self["fusion.out_gain"],
-            log_retrievals=self["report.log_retrievals"],
-        )
-
-    def seeds(self) -> list[int]:
-        return self["seeds"]
+# a key's parser is chosen by the type of its default
+_PARSERS = {bool: _bool, int: int, float: float, str: str, tuple: _int_list}
+_DEFAULTS = RunConfig().flat()
 
 
 def _parse_value(key: str, raw):
-    if key not in SCHEMA:
+    if key not in KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    parser, _ = SCHEMA[key]
     try:
-        return parser(raw)
+        return _PARSERS[type(_DEFAULTS[key])](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -131,29 +117,38 @@ def _parse_value(key: str, raw):
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional JSON file of flat dotted
     keys, and override pairs (applied last)."""
-    values = {key: default for key, (_, default) in SCHEMA.items()}
+    pairs = []
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         try:
             data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {p} must hold a JSON object")
-        for key, raw in data.items():
-            values[key] = _parse_value(key, raw)
-    for key, raw in (overrides or {}).items():
-        values[key] = _parse_value(key, raw)
-    cfg = RunConfig(values=values)
-    if not cfg.seeds():
-        raise ConfigError("seeds must be non-empty")
+        pairs += data.items()
+    pairs += (overrides or {}).items()
+    changes: dict = {}
+    for key, raw in pairs:
+        value = _parse_value(key, raw)
+        name, sub = KEYS[key]
+        if sub is None:
+            changes[name] = value
+        else:
+            changes.setdefault(name, {})[sub] = value
     # the constructors of everything a run builds check the values
     try:
+        default = RunConfig()
+        cfg = replace(default, **{
+            name: replace(getattr(default, name), **v) if isinstance(v, dict) else v
+            for name, v in changes.items()
+        })
         cfg.tasks()
-        cfg.memory()
-        build_model(cfg.settings())
+        build_model(cfg.settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -135,6 +135,8 @@ def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
 
 def build_model(settings: EpisodeSettings):
     """A run's encoder geometry, blocks and fusion; ValueError if inconsistent."""
+    if settings.num_blocks < 0:
+        raise ValueError(f"num_blocks must be non-negative, got {settings.num_blocks}")
     enc_cfg = EncoderConfig(
         image_size=settings.image_size,
         patch_size=settings.patch_size,

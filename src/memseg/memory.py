@@ -302,27 +302,30 @@ def stats(base: MemoryBase) -> MemoryStats:
 #              | F, PE, E as raw f64 arrays of C*H*W values each
 
 
-def base_bytes(base: MemoryBase) -> bytes:
-    """Serialized image of the base; also used for byte-level comparisons."""
+def _chunks(base: MemoryBase):
+    """The memory file in order: header, then per entry its confidence and
+    tag and views of its F, PE and E rows."""
     c, h, w = base.feature_shape
-    parts = [
-        MAGIC,
-        struct.pack("<IIIIII", VERSION, base.capacity, len(base), c, h, w),
-    ]
+    yield MAGIC
+    yield struct.pack("<IIIIII", VERSION, base.capacity, len(base), c, h, w)
     for i, tag in enumerate(base.tags):
         raw = tag.encode("utf-8")
-        parts += [struct.pack("<dI", base.confidences[i], len(raw)), raw]
-        parts += [
-            memoryview(rows[i])
-            for rows in (base.mask_features, base.positional_encodings, base.image_embeddings)
-        ]
-    return b"".join(parts)
+        yield struct.pack("<dI", base.confidences[i], len(raw))
+        yield raw
+        for rows in (base.mask_features, base.positional_encodings, base.image_embeddings):
+            yield memoryview(rows[i])
+
+
+def base_bytes(base: MemoryBase) -> bytes:
+    """Serialized image of the base; also used for byte-level comparisons."""
+    return b"".join(_chunks(base))
 
 
 def save_base(base: MemoryBase, path) -> None:
-    """Write the base in the binary memory-file format (bit-exact floats)."""
+    """Write the base in the binary memory-file format (bit-exact floats),
+    row by row, so saving holds no file image."""
     with open(path, "wb") as fh:
-        fh.write(base_bytes(base))
+        fh.writelines(_chunks(base))
 
 
 class _Reader:

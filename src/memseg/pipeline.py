@@ -40,6 +40,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.patch_size < 1:
             raise ValueError(f"patch_size must be positive, got {self.patch_size}")
+        if self.image_size < 1:
+            raise ValueError(f"image_size must be positive, got {self.image_size}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch"
@@ -150,11 +152,16 @@ def encode_stack(
     return out
 
 
-def encode(
-    frame: Frame, adapter_blocks: list[BlockParams], cfg: EncoderConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a standalone frame (the B=1 path of encode_stack)."""
-    return encode_stack([frame], adapter_blocks, cfg)[0]
+@lru_cache(maxsize=8)
+def _mask_direction(cfg: EncoderConfig) -> np.ndarray:
+    """The projected foreground-minus-background signature that mask
+    features encode occupancy along; not _read_out's r_fg - r_bg, which
+    rounds differently.  Cached, so the array is read-only."""
+    fg, bg = base_signatures()
+    n = cfg.patch_size * cfg.patch_size
+    d = (np.tile(fg, n) - np.tile(bg, n)) @ _projection(cfg)
+    d.flags.writeable = False
+    return d
 
 
 @lru_cache(maxsize=8)
@@ -185,11 +192,7 @@ def mask_feature(mask: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
             f" {cfg.image_size}"
         )
     occ = mask.astype(np.float64).reshape(g, p, g, p).mean(axis=(1, 3))
-    fg, bg = base_signatures()
-    proj = _projection(cfg)
-    n = p * p
-    d = (np.tile(fg, n) - np.tile(bg, n)) @ proj
-    tok = _carrier(cfg)[None, None, :] + (occ[:, :, None] - 0.5) * d
+    tok = _carrier(cfg)[None, None, :] + (occ[:, :, None] - 0.5) * _mask_direction(cfg)
     return tok.transpose(2, 0, 1)
 
 

@@ -1,11 +1,14 @@
 """Tests for the command-line interface and run configuration."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from memseg.cli import main
-from memseg.config import ConfigError, load_config, parse_override_pairs
+from memseg.config import KEYS, ConfigError, RunConfig, load_config, parse_override_pairs
+from memseg.episode import EpisodeSettings, MemoryConfig
+from memseg.synth import NoiseConfig
 
 TINY = [
     "--set", "tasks.count=2",
@@ -21,13 +24,47 @@ TINY = [
 
 def test_config_defaults_and_file(tmp_path):
     cfg = load_config(None)
-    assert cfg["memory.capacity"] == 640
-    assert cfg["memory.k"] == 4
+    assert cfg.memory.capacity == 640
+    assert cfg.memory.k == 4
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"memory.capacity": 16, "seeds": [5]}))
     cfg = load_config(path)
-    assert cfg["memory.capacity"] == 16
-    assert cfg.seeds() == [5]
+    assert cfg.memory.capacity == 16
+    assert cfg.seeds == (5,)
+
+
+def test_every_dataclass_field_has_exactly_one_key():
+    for name, cls in (("noise", NoiseConfig), ("memory", MemoryConfig),
+                      ("settings", EpisodeSettings)):
+        named = sorted(sub for field, sub in KEYS.values() if field == name)
+        assert named == sorted(f.name for f in fields(cls)), name
+    top = sorted(field for field, sub in KEYS.values() if sub is None)
+    assert top == sorted(
+        f.name for f in fields(RunConfig) if f.name not in ("noise", "memory", "settings")
+    )
+
+
+def test_defaults_come_from_the_dataclasses():
+    cfg = load_config(None)
+    assert cfg.memory == MemoryConfig()
+    assert cfg.settings == EpisodeSettings()
+    # the one run-specific default: label noise 0.3 and feature noise 1.0
+    assert cfg.noise == replace(NoiseConfig(), label_corrupt_prob=0.3, feature_noise_sigma=1.0)
+    assert (cfg.task_count, cfg.base_seed, cfg.seeds) == (10, 100, (0, 1, 2))
+
+
+def test_values_parse_by_the_type_of_their_default():
+    cfg = load_config(None, {
+        "memory.use_confidence": "off", "seeds": "4 5", "fusion.key_gain": "2",
+        "model.seed": "9", "retrieval": "random",
+    })
+    assert cfg.memory.use_confidence is False
+    assert cfg.seeds == (4, 5)
+    assert cfg.settings.fusion_key_gain == 2.0 and type(cfg.settings.fusion_key_gain) is float
+    assert cfg.settings.model_seed == 9
+    assert cfg.memory.retrieval == "random"
+    with pytest.raises(ConfigError, match="seeds must be non-empty"):
+        load_config(None, {"seeds": ""})
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -171,6 +208,18 @@ def test_ablate_writes_full_grid(tmp_path):
     assert on != off
 
 
+def test_ablate_workers_match_serial_bytewise(tmp_path):
+    # the cells cross a process pool as pickled RunConfigs
+    for workers in ("1", "2"):
+        assert main([
+            "ablate", "--out", str(tmp_path / f"w{workers}.csv"), "--workers", workers,
+            "--set", "tasks.count=1", "--set", "seeds=0",
+            "--set", "stream.volumes_per_task=1", "--set", "stream.slices_per_volume=4",
+        ]) == 0
+    for suffix in (".csv", ".csv.meta.json"):
+        assert (tmp_path / f"w1{suffix}").read_bytes() == (tmp_path / f"w2{suffix}").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # memory file round trip
 
@@ -207,15 +256,30 @@ def test_unrecognized_args_rejected(capsys):
         ["mem-export", "--shape", "0", "2", "2", "--out", "{tmp}/m.smb"],
         ["mem-export", "--out", "{tmp}/missing-dir/m.smb"],
         ["gradcheck", "--shape", "2", "2", "2", "4", "0"],
+        ["simulate", "--set", "image.size=0"],
+        ["simulate", "--set", "image.size=-4"],
+        ["simulate", "--set", "model.blocks=-1"],
+        ["simulate", "--out", "{tmp}/a_file"],
+        ["ablate", "--out", "{tmp}/a_file/abl.csv"],
+        ["mem-export", "--count", "-3", "--out", "{tmp}/m.smb"],
+        ["memcheck", "--trials", "-2"],
+        ["simulate", "--set", "seeds=0,-1"],
+        ["simulate", "{tmp}"],
+        ["simulate", "{tmp}/binary.json"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
-         "import-missing", "export-shape-0", "export-missing-dir", "gradcheck-shape-0"],
+         "import-missing", "export-shape-0", "export-missing-dir", "gradcheck-shape-0",
+         "image-size-0", "image-size-neg", "blocks-neg", "simulate-out-file",
+         "ablate-out-file", "export-count-neg", "memcheck-trials-neg", "negative-seed",
+         "config-is-dir", "config-not-utf8"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
+    (tmp_path / "a_file").write_bytes(b"")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    if argv[0] == "simulate":
+    if argv[0] == "simulate" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "r")]
     assert main(argv) == 2
     captured = capsys.readouterr()

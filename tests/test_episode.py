@@ -12,7 +12,7 @@ from memseg.episode import (
     make_tasks,
     run_episode,
 )
-from memseg.pipeline import EncoderConfig, bbox_of, encode, encode_prompt, predict
+from memseg.pipeline import EncoderConfig, bbox_of, encode_prompt, encode_stack, predict
 from memseg.synth import NoiseConfig, TaskSpec, gen_frame
 
 FAST = EpisodeSettings(volumes_per_task=1, slices_per_volume=4)
@@ -167,7 +167,7 @@ def test_corrupted_frames_get_lower_confidence():
         if frame.mask.sum() == 0:
             continue
         n += 1
-        e, _ = encode(frame, [], cfg)
+        e, _ = encode_stack([frame], [], cfg)[0]
         prompt = encode_prompt(bbox_of(frame.mask), cfg.image_size)
         _, y_hat = predict(e, prompt, frame, cfg, miscalibration=0.0)
         (corrupt if frame.is_corrupted else clean).append(y_hat)

@@ -11,7 +11,6 @@ from memseg.metrics import iou
 from memseg.pipeline import (
     EncoderConfig,
     bbox_of,
-    encode,
     encode_prompt,
     encode_stack,
     mask_feature,
@@ -46,8 +45,8 @@ def zeroed_blocks(seed=5):
 
 def test_encode_zeroed_blocks_equal_raw_projection():
     f = clean_frame()
-    e_zero, pe_zero = encode(f, zeroed_blocks(), CFG)
-    e_raw, pe_raw = encode(f, [], CFG)
+    e_zero, pe_zero = encode_stack([f], zeroed_blocks(), CFG)[0]
+    e_raw, pe_raw = encode_stack([f], [], CFG)[0]
     assert np.array_equal(e_zero, e_raw)
     assert np.array_equal(pe_zero, pe_raw)
 
@@ -55,19 +54,10 @@ def test_encode_zeroed_blocks_equal_raw_projection():
 def test_encode_identical_frames_different_t():
     f0 = clean_frame(t=0)
     f9 = Frame(features=f0.features, mask=f0.mask, slice_index=9)
-    e0, pe0 = encode(f0, [], CFG)
-    e9, pe9 = encode(f9, [], CFG)
+    e0, pe0 = encode_stack([f0], [], CFG)[0]
+    e9, pe9 = encode_stack([f9], [], CFG)[0]
     assert np.array_equal(e0, e9)  # embedding ignores slice index
     assert not np.array_equal(pe0, pe9)  # PE carries it
-
-
-def test_encode_single_frame_equals_b1_stack():
-    blocks = [block_params(np.random.default_rng(8), CFG.channels, bottleneck=4)]
-    f = clean_frame()
-    single = encode(f, blocks, CFG)
-    stacked = encode_stack([f], blocks, CFG)[0]
-    assert np.array_equal(single[0], stacked[0])
-    assert np.array_equal(single[1], stacked[1])
 
 
 def test_encode_stack_temporal_batching_differs_from_single():
@@ -76,23 +66,23 @@ def test_encode_stack_temporal_batching_differs_from_single():
     blocks = [block_params(np.random.default_rng(9), CFG.channels, bottleneck=4)]
     frames = [clean_frame(t=t, sigma=0.3, seed=4) for t in range(3)]
     volume = encode_stack(frames, blocks, CFG)
-    alone = encode(frames[1], blocks, CFG)
+    alone = encode_stack([frames[1]], blocks, CFG)[0]
     assert not np.array_equal(volume[1][0], alone[0])
 
 
 def test_encode_shapes_and_determinism():
     f = clean_frame()
-    e, pe = encode(f, [], CFG)
+    e, pe = encode_stack([f], [], CFG)[0]
     assert e.shape == CFG.feature_shape
     assert pe.shape == CFG.feature_shape
-    e2, pe2 = encode(f, [], CFG)
+    e2, pe2 = encode_stack([f], [], CFG)[0]
     assert np.array_equal(e, e2) and np.array_equal(pe, pe2)
 
 
 def test_encode_rejects_wrong_feature_shape():
     bad = Frame(features=np.zeros((16, 16, 4)), mask=np.zeros((16, 16)), slice_index=0)
     with pytest.raises(ShapeError):
-        encode(bad, [], CFG)
+        encode_stack([bad], [], CFG)
 
 
 def test_positional_encoding_orthogonal_to_read_out():
@@ -198,7 +188,7 @@ def test_predict_confidence_matches_true_iou():
     # interior IoU: exact round trip through logit/sigmoid
     task = TaskSpec(0, "ct", 11, noise=NoiseConfig(feature_noise_sigma=0.8))
     f = gen_frame(task, 0, 0)
-    e, _ = encode(f, [], CFG)
+    e, _ = encode_stack([f], [], CFG)[0]
     prompt = encode_prompt(bbox_of(f.mask), 32)
     mask_hat, y_hat = predict(e, prompt, f, CFG, miscalibration=0.0)
     true_iou = iou(mask_hat, f.mask)
@@ -214,7 +204,7 @@ def test_predict_confidence_matches_true_iou():
 
 def test_predict_miscalibration_only_touches_corrupted():
     f = clean_frame(sigma=0.5, seed=13)
-    e, _ = encode(f, [], CFG)
+    e, _ = encode_stack([f], [], CFG)[0]
     prompt = encode_prompt(bbox_of(f.mask), 32)
     _, y0 = predict(e, prompt, f, CFG, miscalibration=2.0, rng_seed=5)
     _, y1 = predict(e, prompt, f, CFG, miscalibration=0.0, rng_seed=5)
