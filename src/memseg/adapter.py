@@ -223,36 +223,60 @@ def adapter_forward(x_attn, p: AdapterParams) -> np.ndarray:
 
 
 def _forward(
-    x, p: BlockParams, mode: str = "eval", rng_seed: int | None = None
+    x,
+    p: BlockParams,
+    mode: str = "eval",
+    rng_seed: int | None = None,
+    prefix: dict[str, np.ndarray] | None = None,
+    start: int = 0,
 ) -> dict[str, np.ndarray]:
     # the block's forward, keeping every intermediate the backward needs;
-    # "y" is the output
-    x = _as_input(x, p.channels)
+    # "y" is the output.  Three stages: 0 is ln1 and attention, 1 the
+    # adapter and x_out = x + branch, 2 ln2 and the MLP.  Given ``prefix``,
+    # the cache of an earlier eval forward with the same x and parameters,
+    # the eval forward resumes: x and the stages before ``start`` come from
+    # a copy of it, and only stages >= start read the parameters again.
     if mode not in ("eval", "train"):
         raise ValueError(f"mode must be 'eval' or 'train', got {mode!r}")
     if mode == "train" and rng_seed is None:
         raise ValueError("train mode requires an explicit rng_seed")
+    if start not in (0, 1, 2):
+        raise ValueError(f"start must be stage 0, 1 or 2, got {start!r}")
+    if prefix is not None:
+        if mode != "eval":
+            raise ValueError("only an eval forward can resume from a prefix cache")
+        cache = dict(prefix)
+        x = cache["x"]
+    elif start:
+        raise ValueError(f"resuming at stage {start} needs a prefix cache")
+    else:
+        x = _as_input(x, p.channels)
+        cache = {"x": x}
 
-    # spatial attention over the H*W token grid, independently per frame b
-    b, hh, ww, c = x.shape
-    tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
-    x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
-    cache = _adapter_cache(x_attn, p.adapter)
-    branch = cache["branch"]
-    if mode == "train" and p.drop_path_rate > 0.0:
-        u = np.random.default_rng(rng_seed).uniform()
-        if u < p.drop_path_rate:
-            branch = np.zeros_like(branch)
-        else:
-            branch = branch / (1.0 - p.drop_path_rate)
-    x_out = x + branch
+    if start == 0:
+        # spatial attention over the H*W token grid, independently per frame b
+        b, hh, ww, c = x.shape
+        tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
+        x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
+        cache.update(tokens=tokens, x_attn=x_attn)
 
+    if start <= 1:
+        cache.update(_adapter_cache(cache["x_attn"], p.adapter))
+        branch = cache["branch"]
+        if mode == "train" and p.drop_path_rate > 0.0:
+            u = np.random.default_rng(rng_seed).uniform()
+            if u < p.drop_path_rate:
+                branch = np.zeros_like(branch)
+            else:
+                branch = branch / (1.0 - p.drop_path_rate)
+        cache["x_out"] = x + branch
+
+    x_out = cache["x_out"]
     act, _ = ACTIVATIONS[p.mlp.activation]
     h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
     m1 = h2 @ p.mlp.w1 + p.mlp.b1
     z = act(m1)
-    cache.update(x=x, tokens=tokens, x_attn=x_attn, x_out=x_out, h2=h2, m1=m1, z=z,
-                 y=x_out + z @ p.mlp.w2 + p.mlp.b2)
+    cache.update(h2=h2, m1=m1, z=z, y=x_out + z @ p.mlp.w2 + p.mlp.b2)
     return cache
 
 
@@ -390,7 +414,9 @@ def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     orders of magnitude down.  The output difference is taken elementwise
     before reduction, and the quotient uses the actually realized parameter
     step, so the estimate is limited by the forward's precision rather than
-    by cancellation.
+    by cancellation.  ``grad_check`` passes a forward that reruns only the
+    stages from the first one that reads ``arr`` (see ``_FD_STAGE``); the
+    earlier stages come from its cache and would compute the same values.
     """
     if not arr.flags["C_CONTIGUOUS"]:
         # ravel() of a non-contiguous array copies, losing the perturbation
@@ -413,6 +439,30 @@ def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
+# the first forward stage (see _forward) that reads each grad_check target;
+# x is read again by stage 1's x_out = x + branch, so it reruns all stages
+_FD_STAGE = {
+    "x": 0,
+    "ln1.gamma": 0,
+    "ln1.beta": 0,
+    "attn.w_q": 0,
+    "attn.w_k": 0,
+    "attn.w_v": 0,
+    "attn.w_o": 0,
+    "adapter.ln.gamma": 1,
+    "adapter.ln.beta": 1,
+    "adapter.w_down": 1,
+    "adapter.conv_kernel": 1,
+    "adapter.w_up": 1,
+    "ln2.gamma": 2,
+    "ln2.beta": 2,
+    "mlp.w1": 2,
+    "mlp.b1": 2,
+    "mlp.w2": 2,
+    "mlp.b2": 2,
+}
+
+
 def grad_check(
     p: BlockParams,
     x,
@@ -422,6 +472,14 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare block_backward against central finite differences of the
     summed eval-mode output, elementwise, for the input and every parameter.
+
+    The finite differences rerun the longdouble forward only from the
+    stage that first reads the perturbed array: x, ln1.* and attn.* rerun
+    the whole block, adapter.* resume at the adapter and ln2.* and mlp.*
+    at ln2, from one cache of the unperturbed forward.  No stage reads a
+    parameter of a later one, so the skipped stages would recompute
+    exactly the cached values and every quotient is what full forwards
+    give.
 
     ``mutate`` names a gradient to scale by 1.1 before comparison, as a
     sentinel that the check actually detects wrong gradients.
@@ -438,13 +496,16 @@ def grad_check(
 
     targets: dict[str, np.ndarray] = {"x": x}
     targets.update(block_param_arrays(p))
-
-    def forward():
-        return block_forward(x.astype(np.longdouble), p)
+    prefix = _forward(x.astype(np.longdouble), p)
+    forwards = {
+        0: lambda: block_forward(x.astype(np.longdouble), p),
+        1: lambda: _forward(None, p, prefix=prefix, start=1)["y"],
+        2: lambda: _forward(None, p, prefix=prefix, start=2)["y"],
+    }
 
     rows = []
     for name, arr in targets.items():
-        fd = _fd_grad(forward, arr, g, h)
+        fd = _fd_grad(forwards[_FD_STAGE[name]], arr, g, h)
         err = _rel_err(analytic[name], fd)
         rows.append(GradCheckRow(name=name, max_rel_err=err, passed=err <= tol))
     worst = max(r.max_rel_err for r in rows)

@@ -83,6 +83,11 @@ class EpisodeSettings:
     fusion_out_gain: float = 1.5
     log_retrievals: bool = False
 
+    def __post_init__(self):
+        for name in ("volumes_per_task", "slices_per_volume"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class EpisodeReport:
@@ -137,6 +142,12 @@ def build_model(settings: EpisodeSettings):
     """A run's encoder geometry, blocks and fusion; ValueError if inconsistent."""
     if settings.num_blocks < 0:
         raise ValueError(f"num_blocks must be non-negative, got {settings.num_blocks}")
+    # checked before any weight is drawn: a zero extent divides by zero there
+    if settings.channels < 1 or settings.bottleneck < 1:
+        raise ValueError(
+            f"channels and bottleneck must be >= 1, got {settings.channels}"
+            f" and {settings.bottleneck}"
+        )
     enc_cfg = EncoderConfig(
         image_size=settings.image_size,
         patch_size=settings.patch_size,

@@ -4,6 +4,7 @@ DropPath behaviour, and gradient agreement with finite differences."""
 import numpy as np
 import pytest
 
+from memseg import adapter
 from memseg.adapter import (
     AdapterParams,
     adapter_forward,
@@ -320,6 +321,66 @@ def test_fd_reference_forward_matches_production():
         ref = block_forward(x.astype(np.longdouble), p)
         assert ref.dtype == np.longdouble
         assert np.abs(prod - ref.astype(np.float64)).max() < 1e-13
+
+
+def test_fd_stage_table_names_every_target():
+    p = tiny_block(34)
+    assert list(adapter._FD_STAGE) == ["x", *block_param_arrays(p)]
+
+
+def test_resumed_forward_equals_full_forward_after_perturbation():
+    # perturb one element of each parameter; the forward resumed from that
+    # parameter's stage must give the full longdouble forward bit for bit
+    rng = np.random.default_rng(35)
+    p = block_params(rng, 8, bottleneck=4, num_heads=2)
+    xl = rng.normal(size=(2, 3, 3, 8)).astype(np.longdouble)
+    prefix = adapter._forward(xl, p)
+    for name, arr in block_param_arrays(p).items():
+        flat = arr.ravel()
+        i = int(rng.integers(flat.size))
+        orig = flat[i]
+        flat[i] = orig + 1e-3
+        resumed = adapter._forward(None, p, prefix=prefix, start=adapter._FD_STAGE[name])
+        full = block_forward(xl, p)
+        flat[i] = orig
+        assert resumed["y"].dtype == np.longdouble
+        assert np.array_equal(resumed["y"], full), name
+        assert not np.array_equal(full, prefix["y"]), name
+
+
+def test_resume_rejects_train_mode_and_bad_stage():
+    p = tiny_block(36)
+    prefix = adapter._forward(np.zeros((1, 2, 2, 4)), p)
+    with pytest.raises(ValueError):
+        adapter._forward(None, p, prefix=prefix, start=3)
+    with pytest.raises(ValueError):
+        adapter._forward(None, p, start=1)
+    with pytest.raises(ValueError):
+        adapter._forward(None, p, "train", 0, prefix=prefix, start=1)
+    assert np.array_equal(adapter._forward(None, p, prefix=prefix)["y"], prefix["y"])
+
+
+def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
+    # grad_check's resumed finite differences are bit-identical to the
+    # quotients that full longdouble forwards give
+    p = tiny_block(37)
+    x = np.random.default_rng(38).normal(size=(2, 2, 2, 4))
+    calls = []
+    real = adapter._fd_grad
+
+    def recording(forward, arr, g, h):
+        fd = real(forward, arr, g, h)
+        calls.append((arr, g, h, fd))
+        return fd
+
+    monkeypatch.setattr(adapter, "_fd_grad", recording)
+    assert grad_check(p, x).passed
+    x_target = calls[0][0]  # grad_check perturbs its own float64 copy of x
+    assert np.array_equal(x_target, x)
+    assert len(calls) == len(adapter._FD_STAGE)
+    for arr, g, h, fd in calls:
+        full = real(lambda: block_forward(x_target.astype(np.longdouble), p), arr, g, h)
+        assert np.array_equal(fd, full)
 
 
 def test_grad_check_validates_args():

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and run configuration."""
 
 import json
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -266,13 +267,18 @@ def test_unrecognized_args_rejected(capsys):
         ["simulate", "--set", "seeds=0,-1"],
         ["simulate", "{tmp}"],
         ["simulate", "{tmp}/binary.json"],
+        ["simulate", "--set", "stream.slices_per_volume=0"],
+        ["simulate", "--set", "stream.volumes_per_task=0"],
+        ["simulate", "--set", "model.bottleneck=0"],
+        ["simulate", "--set", "model.channels=0"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
          "import-missing", "export-shape-0", "export-missing-dir", "gradcheck-shape-0",
          "image-size-0", "image-size-neg", "blocks-neg", "simulate-out-file",
          "ablate-out-file", "export-count-neg", "memcheck-trials-neg", "negative-seed",
-         "config-is-dir", "config-not-utf8"],
+         "config-is-dir", "config-not-utf8", "slices-per-volume-0", "volumes-per-task-0",
+         "bottleneck-0", "channels-0"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
@@ -281,7 +287,11 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if argv[0] == "simulate" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "r")]
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    # a warning would be a second stderr line outside pytest
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
