@@ -5,7 +5,6 @@ from .adapter import (
     AdapterParams,
     BlockParams,
     MlpParams,
-    adapter_forward,
     adapter_params,
     block_backward,
     block_forward,
@@ -20,7 +19,6 @@ from .kernels import (
     conv3d,
     gelu,
     layer_norm,
-    linear,
     multi_head_attention,
     sigmoid,
     softmax,

@@ -2,17 +2,17 @@
 
 One block maps (B, H, W, C) -> (B, H, W, C):
 
-    x_out = x + DropPath(adapter(MHA(LN(x))))     spatial attention per frame
-    y     = x_out + MLP(LN(x_out))                residual MLP
+    x_out = x + adapter(MHA(LN(x)))     spatial attention per frame
+    y     = x_out + MLP(LN(x_out))      residual MLP
 
 where the adapter is a bottleneck with a depth-axis 3D convolution:
 
-    adapter(t) = t + W_up(act(Conv3D(W_down * LN(t))))
+    adapter(t) = t + W_up(GELU(Conv3D(W_down * LN(t))))
 
-The convolution mixes only the B (volumetric/temporal) axis by default
-(kernel kd x 1 x 1); spatial mixing is the attention's job.  The backward
-pass is written by hand through every kernel and is verified against
-central finite differences by ``grad_check``.
+The seeded weights give the convolution a KD x 1 x 1 kernel, so it mixes
+only the B (volumetric/temporal) axis; spatial mixing is the attention's
+job.  The backward pass is written by hand through every kernel and is
+verified against central finite differences by ``grad_check``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    ACTIVATIONS,
     AttentionParams,
     ShapeError,
     _float,
     attention_params,
     conv3d,
     conv3d_vjp,
+    gelu,
+    gelu_grad,
     layer_norm,
     layer_norm_vjp,
     linear_vjp,
@@ -47,7 +48,6 @@ class AdapterParams:
     w_down: np.ndarray
     conv_kernel: np.ndarray
     w_up: np.ndarray
-    activation: str = "gelu"
 
     def __post_init__(self):
         c, r = self.w_down.shape
@@ -66,8 +66,6 @@ class AdapterParams:
             )
         if any(e % 2 == 0 for e in k.shape[:3]):
             raise ShapeError(f"conv kernel extents must be odd, got {k.shape[:3]}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def channels(self) -> int:
@@ -84,7 +82,6 @@ class MlpParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    activation: str = "gelu"
 
     def __post_init__(self):
         c, hidden = self.w1.shape
@@ -94,8 +91,6 @@ class MlpParams:
             )
         if self.b1.shape != (hidden,) or self.b2.shape != (c,):
             raise ShapeError("mlp bias shapes inconsistent")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -110,7 +105,6 @@ class BlockParams:
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
     mlp: MlpParams
-    drop_path_rate: float = 0.0
 
     def __post_init__(self):
         c = self.attn.model_dim
@@ -122,51 +116,38 @@ class BlockParams:
         for name in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
             if getattr(self, name).shape != (c,):
                 raise ShapeError(f"{name} must have length {c}")
-        if not 0.0 <= self.drop_path_rate < 1.0:
-            raise ValueError(
-                f"drop_path_rate must be in [0, 1), got {self.drop_path_rate}"
-            )
 
     @property
     def channels(self) -> int:
         return self.attn.model_dim
 
 
+KD = 3  # temporal extent of the seeded adapter's conv kernel
+SCALE = 0.5  # the seeded weights' standard deviation times sqrt(fan-in)
+
+
 def adapter_params(
-    rng: np.random.Generator,
-    channels: int,
-    bottleneck: int | None = None,
-    kd: int = 3,
-    activation: str = "gelu",
-    scale: float = 0.5,
+    rng: np.random.Generator, channels: int, bottleneck: int | None = None
 ) -> AdapterParams:
     """Seeded-random adapter weights; bottleneck defaults to C // 4."""
     r = max(1, channels // 4) if bottleneck is None else bottleneck
     return AdapterParams(
         ln_gamma=np.ones(channels),
         ln_beta=np.zeros(channels),
-        w_down=rng.normal(0.0, scale / np.sqrt(channels), (channels, r)),
-        conv_kernel=rng.normal(0.0, scale / np.sqrt(r * kd), (kd, 1, 1, r, r)),
-        w_up=rng.normal(0.0, scale / np.sqrt(r), (r, channels)),
-        activation=activation,
+        w_down=rng.normal(0.0, SCALE / np.sqrt(channels), (channels, r)),
+        conv_kernel=rng.normal(0.0, SCALE / np.sqrt(r * KD), (KD, 1, 1, r, r)),
+        w_up=rng.normal(0.0, SCALE / np.sqrt(r), (r, channels)),
     )
 
 
-def mlp_params(
-    rng: np.random.Generator,
-    channels: int,
-    hidden: int | None = None,
-    activation: str = "gelu",
-    scale: float = 0.5,
-) -> MlpParams:
-    """Seeded-random MLP weights; hidden defaults to 4C."""
-    hidden = 4 * channels if hidden is None else hidden
+def mlp_params(rng: np.random.Generator, channels: int) -> MlpParams:
+    """Seeded-random MLP weights with 4C hidden units."""
+    hidden = 4 * channels
     return MlpParams(
-        w1=rng.normal(0.0, scale / np.sqrt(channels), (channels, hidden)),
+        w1=rng.normal(0.0, SCALE / np.sqrt(channels), (channels, hidden)),
         b1=np.zeros(hidden),
-        w2=rng.normal(0.0, scale / np.sqrt(hidden), (hidden, channels)),
+        w2=rng.normal(0.0, SCALE / np.sqrt(hidden), (hidden, channels)),
         b2=np.zeros(channels),
-        activation=activation,
     )
 
 
@@ -175,22 +156,16 @@ def block_params(
     channels: int,
     bottleneck: int | None = None,
     num_heads: int = 2,
-    kd: int = 3,
-    mlp_hidden: int | None = None,
-    drop_path_rate: float = 0.0,
-    activation: str = "gelu",
-    scale: float = 0.5,
 ) -> BlockParams:
     """Seeded-random block weights for tests and the pipeline encoder."""
     return BlockParams(
         ln1_gamma=np.ones(channels),
         ln1_beta=np.zeros(channels),
-        attn=attention_params(rng, channels, num_heads, scale / np.sqrt(channels)),
-        adapter=adapter_params(rng, channels, bottleneck, kd, activation, scale),
+        attn=attention_params(rng, channels, num_heads, SCALE / np.sqrt(channels)),
+        adapter=adapter_params(rng, channels, bottleneck),
         ln2_gamma=np.ones(channels),
         ln2_beta=np.zeros(channels),
-        mlp=mlp_params(rng, channels, mlp_hidden, activation, scale),
-        drop_path_rate=drop_path_rate,
+        mlp=mlp_params(rng, channels),
     )
 
 
@@ -208,43 +183,29 @@ def _as_input(x, channels: int) -> np.ndarray:
 
 
 def _adapter_cache(x_attn: np.ndarray, p: AdapterParams) -> dict[str, np.ndarray]:
-    # the bottleneck's intermediates; "branch" is x_attn + W_up(act(conv))
-    act, _ = ACTIVATIONS[p.activation]
+    # the bottleneck's intermediates; "branch" is x_attn + W_up(GELU(conv))
     ha = layer_norm(x_attn, p.ln_gamma, p.ln_beta)
     down = ha @ p.w_down
     conv = conv3d(down, p.conv_kernel)
-    s = act(conv)
+    s = gelu(conv)
     return {"ha": ha, "down": down, "conv": conv, "s": s, "branch": x_attn + s @ p.w_up}
-
-
-def adapter_forward(x_attn, p: AdapterParams) -> np.ndarray:
-    """Bottleneck branch with residual: x + W_up(act(Conv3D(W_down LN(x))))."""
-    return _adapter_cache(_as_input(x_attn, p.channels), p)["branch"]
 
 
 def _forward(
     x,
     p: BlockParams,
-    mode: str = "eval",
-    rng_seed: int | None = None,
     prefix: dict[str, np.ndarray] | None = None,
     start: int = 0,
 ) -> dict[str, np.ndarray]:
     # the block's forward, keeping every intermediate the backward needs;
     # "y" is the output.  Three stages: 0 is ln1 and attention, 1 the
     # adapter and x_out = x + branch, 2 ln2 and the MLP.  Given ``prefix``,
-    # the cache of an earlier eval forward with the same x and parameters,
-    # the eval forward resumes: x and the stages before ``start`` come from
-    # a copy of it, and only stages >= start read the parameters again.
-    if mode not in ("eval", "train"):
-        raise ValueError(f"mode must be 'eval' or 'train', got {mode!r}")
-    if mode == "train" and rng_seed is None:
-        raise ValueError("train mode requires an explicit rng_seed")
+    # the cache of an earlier forward with the same x and parameters, the
+    # forward resumes: x and the stages before ``start`` come from a copy
+    # of it, and only stages >= start read the parameters again.
     if start not in (0, 1, 2):
         raise ValueError(f"start must be stage 0, 1 or 2, got {start!r}")
     if prefix is not None:
-        if mode != "eval":
-            raise ValueError("only an eval forward can resume from a prefix cache")
         cache = dict(prefix)
         x = cache["x"]
     elif start:
@@ -262,32 +223,20 @@ def _forward(
 
     if start <= 1:
         cache.update(_adapter_cache(cache["x_attn"], p.adapter))
-        branch = cache["branch"]
-        if mode == "train" and p.drop_path_rate > 0.0:
-            u = np.random.default_rng(rng_seed).uniform()
-            if u < p.drop_path_rate:
-                branch = np.zeros_like(branch)
-            else:
-                branch = branch / (1.0 - p.drop_path_rate)
-        cache["x_out"] = x + branch
+        cache["x_out"] = x + cache["branch"]
 
     x_out = cache["x_out"]
-    act, _ = ACTIVATIONS[p.mlp.activation]
     h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
     m1 = h2 @ p.mlp.w1 + p.mlp.b1
-    z = act(m1)
+    z = gelu(m1)
     cache.update(h2=h2, m1=m1, z=z, y=x_out + z @ p.mlp.w2 + p.mlp.b2)
     return cache
 
 
-def block_forward(
-    x, p: BlockParams, mode: str = "eval", rng_seed: int | None = None
-) -> np.ndarray:
-    """Run one block.  In "train" mode DropPath zeroes the adapter branch
-    with probability drop_path_rate and rescales survivors by 1/(1-rate),
-    driven by the explicit rng_seed; "eval" mode is deterministic.  The
-    output keeps a floating input's dtype; other inputs run in float64."""
-    return _forward(x, p, mode, rng_seed)["y"]
+def block_forward(x, p: BlockParams) -> np.ndarray:
+    """Run one block.  The output keeps a floating input's dtype; other
+    inputs run in float64."""
+    return _forward(x, p)["y"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +267,8 @@ def block_param_arrays(p: BlockParams) -> dict[str, np.ndarray]:
 
 
 def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
-    """Analytic gradients of the eval-mode block w.r.t. the input ("x") and
-    every parameter (keys of block_param_arrays), by chain rule."""
+    """Analytic gradients of the block w.r.t. the input ("x") and every
+    parameter (keys of block_param_arrays), by chain rule."""
     f = _forward(np.asarray(x, dtype=np.float64), p)
     x = f["x"]
     g = np.asarray(upstream_grad, dtype=np.float64)
@@ -328,19 +277,17 @@ def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
             f"upstream gradient shape {tuple(g.shape)} != input {tuple(x.shape)}"
         )
     b, hh, ww, c = x.shape
-    _, act_a_grad = ACTIVATIONS[p.adapter.activation]
-    _, act_m_grad = ACTIVATIONS[p.mlp.activation]
 
     # MLP branch
     dz, dw2, db2 = linear_vjp(g, f["z"], p.mlp.w2)
-    dm1 = dz * act_m_grad(f["m1"])
+    dm1 = dz * gelu_grad(f["m1"])
     dh2, dw1, db1 = linear_vjp(dm1, f["h2"], p.mlp.w1)
     dx_out_ln, dg2, db2_ln = layer_norm_vjp(dh2, f["x_out"], p.ln2_gamma, p.ln2_beta)
     dx_out = g + dx_out_ln
 
-    # adapter branch (DropPath is identity in eval mode)
+    # adapter branch
     ds, dw_up, _ = linear_vjp(dx_out, f["s"], p.adapter.w_up)
-    dconv = ds * act_a_grad(f["conv"])
+    dconv = ds * gelu_grad(f["conv"])
     ddown, dkernel = conv3d_vjp(dconv, f["down"], p.adapter.conv_kernel)
     dha, dw_down, _ = linear_vjp(ddown, f["ha"], p.adapter.w_down)
     dx_attn_ln, dga, dba = layer_norm_vjp(
@@ -471,7 +418,7 @@ def grad_check(
     mutate: str | None = None,
 ) -> GradCheckReport:
     """Compare block_backward against central finite differences of the
-    summed eval-mode output, elementwise, for the input and every parameter.
+    summed output, elementwise, for the input and every parameter.
 
     The finite differences rerun the longdouble forward only from the
     stage that first reads the perturbed array: x, ln1.* and attn.* rerun
@@ -484,8 +431,8 @@ def grad_check(
     ``mutate`` names a gradient to scale by 1.1 before comparison, as a
     sentinel that the check actually detects wrong gradients.
     """
-    if h <= 0 or tol <= 0:
-        raise ValueError("h and tol must be positive")
+    if not (0 < h < np.inf and 0 < tol < np.inf):
+        raise ValueError(f"h and tol must be finite and positive, got {h} and {tol}")
     x = np.array(x, dtype=np.float64)
     g = np.ones_like(x)
     analytic = block_backward(x, p, g)

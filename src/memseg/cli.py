@@ -54,8 +54,8 @@ def _gradcheck_usage_error(args) -> str | None:
         return f"bottleneck {r} must be < channels {c}"
     if args.heads < 1 or c % args.heads:
         return f"--heads {args.heads} must be positive and divide channels {c}"
-    if args.h <= 0 or args.tol <= 0:
-        return "--h and --tol must be positive"
+    if not (0 < args.h < math.inf and 0 < args.tol < math.inf):
+        return f"--h and --tol must be finite and positive, got {args.h} and {args.tol}"
     params = block_params(np.random.default_rng(0), c, r, args.heads)
     names = ["x", *block_param_arrays(params)]
     if args.mutate is not None and args.mutate not in names:
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _split_config_flags(argv: list[str]) -> tuple[list[str], dict]:
     """Pull ``--<config-key> value`` and ``--<config-key>=value`` shorthands
     out of argv before argparse sees them; any key from the config schema
-    works (``--memory.capacity 0``, ``--retrieval none``)."""
+    works (``--memory.capacity 0``, ``--retrieval random``)."""
     rest: list[str] = []
     overrides: dict = {}
     i = 0

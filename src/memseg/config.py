@@ -11,6 +11,7 @@ offending key.  Command line overrides use the same dotted names
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -100,8 +101,15 @@ def _int_list(v):
     return tuple(int(x) for x in v)
 
 
+def _finite(v):
+    out = float(v)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return out
+
+
 # a key's parser is chosen by the type of its default
-_PARSERS = {bool: _bool, int: int, float: float, str: str, tuple: _int_list}
+_PARSERS = {bool: _bool, int: int, float: _finite, str: str, tuple: _int_list}
 _DEFAULTS = RunConfig().flat()
 
 

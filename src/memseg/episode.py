@@ -42,7 +42,7 @@ from .pipeline import (
 )
 from .synth import Frame, NoiseConfig, TaskSpec, gen_frame, preprocess_stream
 
-RETRIEVAL_MODES = ("confidence_similarity", "random", "none")
+RETRIEVAL_MODES = ("confidence_similarity", "random")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
-    if cfg.retrieval == "none" or cfg.capacity == 0 or len(base) == 0:
+    if len(base) == 0:
         return None
     if cfg.retrieval == "random":
         return retrieve_random(base, cfg.k, rng_seed=event_seed)
@@ -162,7 +162,6 @@ def build_model(settings: EpisodeSettings):
             settings.channels,
             bottleneck=settings.bottleneck,
             num_heads=settings.num_heads,
-            scale=0.5,
         )
         for i in range(settings.num_blocks)
     ]

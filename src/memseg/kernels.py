@@ -125,26 +125,8 @@ def layer_norm_vjp(g, x, gamma, beta, eps: float = 1e-6):
 # linear / conv
 
 
-def linear(x, w, b=None) -> np.ndarray:
-    """y = x @ w + b over the last axis of x."""
-    x, w = _arr(x, "x"), _arr(w, "w")
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: x {tuple(x.shape)} vs w {tuple(w.shape)}"
-        )
-    y = x @ w
-    if b is not None:
-        b = _arr(b, "b")
-        if b.shape != (w.shape[1],):
-            raise ShapeError(
-                f"bias shape {tuple(b.shape)} does not match output dim {w.shape[1]}"
-            )
-        y = y + b
-    return y
-
-
 def linear_vjp(g, x, w):
-    """Gradients of linear w.r.t. (x, w, b)."""
+    """Gradients of y = x @ w + b over the last axis of x w.r.t. (x, w, b)."""
     g = np.asarray(g, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -243,11 +225,6 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def sigmoid_grad(x) -> np.ndarray:
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -264,9 +241,6 @@ def gelu_grad(x) -> np.ndarray:
     t = np.tanh(inner)
     dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-
-
-ACTIVATIONS = {"gelu": (gelu, gelu_grad), "sigmoid": (sigmoid, sigmoid_grad)}
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def encode_stack(
         return []
     x = np.stack([_patch_tokens(f.features, cfg) for f in frames])
     for blk in adapter_blocks:
-        x = block_forward(x, blk, mode="eval")
+        x = block_forward(x, blk)
     out = []
     for i, f in enumerate(frames):
         e = x[i].transpose(2, 0, 1)

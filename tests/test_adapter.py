@@ -1,5 +1,5 @@
 """Tests for the temporal-adapter block: forward identities, locality,
-DropPath behaviour, and gradient agreement with finite differences."""
+and gradient agreement with finite differences."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from memseg import adapter
 from memseg.adapter import (
     AdapterParams,
-    adapter_forward,
+    _adapter_cache,
     adapter_params,
     block_backward,
     block_forward,
@@ -16,21 +16,17 @@ from memseg.adapter import (
     grad_check,
 )
 from memseg.kernels import (
-    ACTIVATIONS,
     ShapeError,
     conv3d,
+    gelu,
     layer_norm,
     multi_head_attention,
 )
 
 
-def tiny_block(seed=0, channels=4, bottleneck=2, heads=2, drop=0.0):
+def tiny_block(seed=0, channels=4, bottleneck=2, heads=2):
     return block_params(
-        np.random.default_rng(seed),
-        channels,
-        bottleneck=bottleneck,
-        num_heads=heads,
-        drop_path_rate=drop,
+        np.random.default_rng(seed), channels, bottleneck=bottleneck, num_heads=heads
     )
 
 
@@ -38,48 +34,52 @@ def tiny_block(seed=0, channels=4, bottleneck=2, heads=2, drop=0.0):
 # adapter forward
 
 
+def adapter_branch(x, p):
+    """The adapter with its residual: x + W_up(GELU(Conv3D(W_down LN(x))))."""
+    return _adapter_cache(x, p)["branch"]
+
+
 def test_adapter_zero_up_projection_is_identity():
     rng = np.random.default_rng(1)
     p = adapter_params(rng, 4, 2)
     p.w_up[:] = 0.0
     x = rng.normal(size=(2, 3, 3, 4))
-    assert np.array_equal(adapter_forward(x, p), x)
+    assert np.array_equal(adapter_branch(x, p), x)
 
 
 def test_adapter_single_frame_equals_center_tap():
     rng = np.random.default_rng(2)
-    p3 = adapter_params(rng, 4, 2, kd=3)
+    p3 = adapter_params(rng, 4, 2)
+    assert p3.conv_kernel.shape[0] == 3
     p1 = AdapterParams(
         ln_gamma=p3.ln_gamma,
         ln_beta=p3.ln_beta,
         w_down=p3.w_down,
         conv_kernel=p3.conv_kernel[1:2].copy(),
         w_up=p3.w_up,
-        activation=p3.activation,
     )
     x = rng.normal(size=(1, 3, 3, 4))
-    assert np.allclose(adapter_forward(x, p3), adapter_forward(x, p1), atol=1e-14)
+    assert np.allclose(adapter_branch(x, p3), adapter_branch(x, p1), atol=1e-14)
 
 
 def test_adapter_composition_oracle():
     rng = np.random.default_rng(3)
     p = adapter_params(rng, 6, 3)
     x = rng.normal(size=(4, 2, 2, 6))
-    act, _ = ACTIVATIONS[p.activation]
-    expected = x + act(
+    expected = x + gelu(
         conv3d(layer_norm(x, p.ln_gamma, p.ln_beta) @ p.w_down, p.conv_kernel)
     ) @ p.w_up
-    assert np.allclose(adapter_forward(x, p), expected, atol=1e-14)
+    assert np.allclose(adapter_branch(x, p), expected, atol=1e-14)
 
 
 def test_adapter_temporal_locality():
     rng = np.random.default_rng(4)
-    p = adapter_params(rng, 4, 2, kd=3)
+    p = adapter_params(rng, 4, 2)
     x = rng.normal(size=(6, 2, 2, 4))
-    base = adapter_forward(x, p)
+    base = adapter_branch(x, p)
     bumped = x.copy()
     bumped[3] += rng.normal(size=(2, 2, 4))
-    diff = np.abs(adapter_forward(bumped, p) - base).max(axis=(1, 2, 3))
+    diff = np.abs(adapter_branch(bumped, p) - base).max(axis=(1, 2, 3))
     assert diff[3] > 0
     for b in (0, 1, 5):
         assert diff[b] <= 1e-12
@@ -111,9 +111,9 @@ def test_adapter_rejects_even_kernel():
 
 def test_adapter_channel_mismatch():
     rng = np.random.default_rng(7)
-    p = adapter_params(rng, 4, 2)
+    p = tiny_block(7)
     with pytest.raises(ShapeError):
-        adapter_forward(rng.normal(size=(2, 3, 3, 5)), p)
+        block_forward(rng.normal(size=(2, 3, 3, 5)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -131,93 +131,6 @@ def test_block_residual_floor_identity():
     assert np.array_equal(block_forward(x, p), x)
 
 
-def test_block_drop_path_two_outcomes():
-    p = tiny_block(10, drop=0.5)
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(2, 2, 2, 4))
-    eval_out = block_forward(x, p)
-    p0 = tiny_block(10, drop=0.0)
-    seen = set()
-    for seed in range(20):
-        out = block_forward(x, p, mode="train", rng_seed=seed)
-        again = block_forward(x, p, mode="train", rng_seed=seed)
-        assert np.array_equal(out, again)  # deterministic per seed
-        zero_branch = block_forward(x, _zero_branch(p0), mode="eval")
-        if np.allclose(out, zero_branch, atol=1e-12):
-            seen.add("dropped")
-        else:
-            seen.add("kept")
-    assert seen == {"dropped", "kept"}
-    assert eval_out.shape == x.shape
-
-
-def _zero_branch(p):
-    # zero attention output kills x_attn, zero up-projection kills the
-    # bottleneck, so the whole DropPath branch is exactly zero
-    q = tiny_block(10, drop=0.0)
-    for name, arr in block_param_arrays(p).items():
-        block_param_arrays(q)[name][:] = arr
-    q.attn.w_o[:] = 0.0
-    q.adapter.w_up[:] = 0.0
-    return q
-
-
-def test_block_drop_path_dropped_equals_mlp_only():
-    p = tiny_block(12, drop=0.9)
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(2, 2, 2, 4))
-    # find a seed whose draw drops the branch
-    dropped = None
-    for seed in range(50):
-        u = np.random.default_rng(seed).uniform()
-        if u < p.drop_path_rate:
-            dropped = seed
-            break
-    assert dropped is not None
-    out = block_forward(x, p, mode="train", rng_seed=dropped)
-    act, _ = ACTIVATIONS[p.mlp.activation]
-    h2 = layer_norm(x, p.ln2_gamma, p.ln2_beta)
-    expected = x + act(h2 @ p.mlp.w1 + p.mlp.b1) @ p.mlp.w2 + p.mlp.b2
-    assert np.allclose(out, expected, atol=1e-14)
-
-
-def test_block_drop_path_kept_rescales():
-    p = tiny_block(14, drop=0.5)
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(2, 2, 2, 4))
-    kept = None
-    for seed in range(50):
-        if np.random.default_rng(seed).uniform() >= 0.5:
-            kept = seed
-            break
-    out = block_forward(x, p, mode="train", rng_seed=kept)
-    # survivor branch is doubled at rate 0.5
-    branch = adapter_forward(
-        _attn_of(x, p), p.adapter
-    )
-    h2 = layer_norm(x + 2.0 * branch, p.ln2_gamma, p.ln2_beta)
-    act, _ = ACTIVATIONS[p.mlp.activation]
-    expected = (x + 2.0 * branch) + act(h2 @ p.mlp.w1 + p.mlp.b1) @ p.mlp.w2 + p.mlp.b2
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def _attn_of(x, p):
-    b, hh, ww, c = x.shape
-    tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
-    return multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
-
-
-def test_block_train_requires_seed():
-    p = tiny_block(16, drop=0.5)
-    with pytest.raises(ValueError):
-        block_forward(np.zeros((1, 2, 2, 4)), p, mode="train")
-
-
-def test_block_rejects_rate_one():
-    with pytest.raises(ValueError):
-        tiny_block(17, drop=1.0)
-
-
 def test_block_straight_line_composition_oracle():
     p = tiny_block(18)
     rng = np.random.default_rng(19)
@@ -232,13 +145,11 @@ def test_block_straight_line_composition_oracle():
             for b in range(2)
         ]
     )
-    act, _ = ACTIVATIONS[p.adapter.activation]
     ha = layer_norm(x_attn, p.adapter.ln_gamma, p.adapter.ln_beta)
-    branch = x_attn + act(conv3d(ha @ p.adapter.w_down, p.adapter.conv_kernel)) @ p.adapter.w_up
+    branch = x_attn + gelu(conv3d(ha @ p.adapter.w_down, p.adapter.conv_kernel)) @ p.adapter.w_up
     x_out = x + branch
     h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
-    actm, _ = ACTIVATIONS[p.mlp.activation]
-    expected = x_out + actm(h2 @ p.mlp.w1 + p.mlp.b1) @ p.mlp.w2 + p.mlp.b2
+    expected = x_out + gelu(h2 @ p.mlp.w1 + p.mlp.b1) @ p.mlp.w2 + p.mlp.b2
     assert np.allclose(block_forward(x, p), expected, atol=1e-13)
 
 
@@ -348,15 +259,13 @@ def test_resumed_forward_equals_full_forward_after_perturbation():
         assert not np.array_equal(full, prefix["y"]), name
 
 
-def test_resume_rejects_train_mode_and_bad_stage():
+def test_resume_rejects_bad_stage():
     p = tiny_block(36)
     prefix = adapter._forward(np.zeros((1, 2, 2, 4)), p)
     with pytest.raises(ValueError):
         adapter._forward(None, p, prefix=prefix, start=3)
     with pytest.raises(ValueError):
         adapter._forward(None, p, start=1)
-    with pytest.raises(ValueError):
-        adapter._forward(None, p, "train", 0, prefix=prefix, start=1)
     assert np.array_equal(adapter._forward(None, p, prefix=prefix)["y"], prefix["y"])
 
 
@@ -389,5 +298,10 @@ def test_grad_check_validates_args():
         grad_check(p, np.zeros((1, 2, 2, 4)), h=0.0)
     with pytest.raises(ValueError):
         grad_check(p, np.zeros((1, 2, 2, 4)), tol=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            grad_check(p, np.zeros((1, 2, 2, 4)), h=bad)
+        with pytest.raises(ValueError):
+            grad_check(p, np.zeros((1, 2, 2, 4)), tol=bad)
     with pytest.raises(ValueError):
         grad_check(p, np.zeros((1, 2, 2, 4)), mutate="nope")

@@ -151,15 +151,6 @@ def test_simulate_writes_reports_and_is_deterministic(tmp_path, capsys):
     assert payload["config"]["seeds"] == [0, 1]
 
 
-def test_simulate_capacity_zero_matches_retrieval_none(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--out", str(out_a), *TINY, "--memory.capacity", "0"]) == 0
-    assert main(["simulate", "--out", str(out_b), *TINY, "--set", "retrieval=none"]) == 0
-    a = json.loads((out_a / "episode_seed0.json").read_text())
-    b = json.loads((out_b / "episode_seed0.json").read_text())
-    assert a["result"]["prediction_digest"] == b["result"]["prediction_digest"]
-
-
 def test_simulate_dotted_flag_overrides(tmp_path):
     out = tmp_path / "r"
     assert main(["simulate", "--out", str(out), *TINY, "--memory.k", "2"]) == 0
@@ -271,6 +262,14 @@ def test_unrecognized_args_rejected(capsys):
         ["simulate", "--set", "stream.volumes_per_task=0"],
         ["simulate", "--set", "model.bottleneck=0"],
         ["simulate", "--set", "model.channels=0"],
+        ["simulate", "--set", "noise.feature_noise_sigma=nan"],
+        ["simulate", "--set", "noise.confidence_miscalibration=nan"],
+        ["simulate", "--set", "fusion.key_gain=nan"],
+        ["simulate", "--set", "noise.feature_noise_sigma=inf"],
+        ["gradcheck", "--h", "nan"],
+        ["gradcheck", "--tol", "nan"],
+        ["gradcheck", "--tol", "inf"],
+        ["simulate", "--set", "retrieval=none"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
@@ -278,7 +277,9 @@ def test_unrecognized_args_rejected(capsys):
          "image-size-0", "image-size-neg", "blocks-neg", "simulate-out-file",
          "ablate-out-file", "export-count-neg", "memcheck-trials-neg", "negative-seed",
          "config-is-dir", "config-not-utf8", "slices-per-volume-0", "volumes-per-task-0",
-         "bottleneck-0", "channels-0"],
+         "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
+         "key-gain-nan", "noise-sigma-inf", "gradcheck-h-nan", "gradcheck-tol-nan",
+         "gradcheck-tol-inf", "retrieval-none"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))

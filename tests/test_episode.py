@@ -40,7 +40,7 @@ def test_default_episode_digests_match_reference():
 
 def test_report_schema_well_formed():
     tasks = quick_tasks(1)
-    for retrieval in ("none", "confidence_similarity"):
+    for retrieval in ("random", "confidence_similarity"):
         report = run_episode(tasks, MemoryConfig(retrieval=retrieval), [0], FAST)
         assert len(report.per_seed) == 1
         row = report.per_seed[0]
@@ -57,14 +57,27 @@ def test_report_schema_well_formed():
         assert report.config["memory"]["retrieval"] == retrieval
 
 
-def test_capacity_zero_equals_retrieval_none_bitwise():
+def test_digest_ignores_memory_knobs_that_are_never_read():
+    """A capacity-0 base is always empty, so neither the retrieval mode nor
+    the confidence term can reach the predictions; random retrieval never
+    reads the confidence term.  ablate's grid repeats these cells."""
     tasks = quick_tasks(2, corrupt=0.2)
-    r_zero = run_episode(tasks, MemoryConfig(capacity=0, retrieval="confidence_similarity"), [3], FAST)
-    r_none = run_episode(tasks, MemoryConfig(capacity=640, retrieval="none"), [3], FAST)
-    assert (
-        r_zero.per_seed[0]["prediction_digest"]
-        == r_none.per_seed[0]["prediction_digest"]
-    )
+
+    def digest(**memory):
+        report = run_episode(tasks, MemoryConfig(**memory), [3], FAST)
+        return report.per_seed[0]["prediction_digest"]
+
+    zero = {
+        digest(capacity=0, retrieval=retrieval, use_confidence=conf)
+        for retrieval in ("random", "confidence_similarity")
+        for conf in (True, False)
+    }
+    random16 = {
+        digest(capacity=16, retrieval="random", use_confidence=conf) for conf in (True, False)
+    }
+    assert len(zero) == 1
+    assert len(random16) == 1
+    assert zero != random16  # memory does reach the predictions at capacity 16
 
 
 def test_episode_deterministic_byte_identical():

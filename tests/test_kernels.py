@@ -16,7 +16,6 @@ from memseg.kernels import (
     gelu_grad,
     layer_norm,
     layer_norm_vjp,
-    linear,
     linear_vjp,
     multi_head_attention,
     multi_head_attention_vjp,
@@ -78,33 +77,13 @@ def test_layer_norm_vjp_matches_finite_diff():
 # linear
 
 
-def test_linear_identity():
-    out = linear(np.array([1.0, 2.0]), np.eye(2), np.zeros(2))
-    assert np.array_equal(out, [1.0, 2.0])
-
-
-def test_linear_hand_multiply():
-    out = linear(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2))
-    assert np.array_equal(out, [5.0, 7.0])
-
-
-def test_linear_empty_batch():
-    out = linear(np.zeros((0, 3)), np.ones((3, 2)), np.zeros(2))
-    assert out.shape == (0, 2)
-
-
-def test_linear_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        linear(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
 def test_linear_vjp_matches_finite_diff():
     rng = np.random.default_rng(3)
     x, w = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
     g = rng.normal(size=(4, 2))
     dx, dw, db = linear_vjp(g, x, w)
-    fd_x = finite_diff_grad(lambda t: float((linear(t, w) * g).sum()), x)
-    fd_w = finite_diff_grad(lambda t: float((linear(x, t) * g).sum()), w)
+    fd_x = finite_diff_grad(lambda t: float(((t @ w) * g).sum()), x)
+    fd_w = finite_diff_grad(lambda t: float(((x @ t) * g).sum()), w)
     assert np.allclose(dx, fd_x, atol=1e-7)
     assert np.allclose(dw, fd_w, atol=1e-7)
     assert np.allclose(db, g.sum(axis=0))
@@ -134,7 +113,7 @@ def test_conv3d_1x1x1_equals_linear():
     x = rng.normal(size=(2, 3, 3, 4))
     w = rng.normal(size=(4, 5))
     out = conv3d(x, w.reshape(1, 1, 1, 4, 5))
-    ref = linear(x.reshape(-1, 4), w).reshape(2, 3, 3, 5)
+    ref = (x.reshape(-1, 4) @ w).reshape(2, 3, 3, 5)
     assert np.allclose(out, ref, atol=1e-12)
 
 
