@@ -93,12 +93,22 @@ def _bool(v):
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
+def _int(v):
+    """An integer, or an integer string such as a --set value; a float or a
+    bool is an error rather than something to truncate or convert."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
 def _int_list(v):
     if isinstance(v, str):
         v = [p for p in v.replace(",", " ").split() if p]
     if not isinstance(v, (list, tuple)):
         raise ValueError(f"expected a list of integers, got {v!r}")
-    return tuple(int(x) for x in v)
+    return tuple(_int(x) for x in v)
 
 
 def _finite(v):
@@ -109,7 +119,7 @@ def _finite(v):
 
 
 # a key's parser is chosen by the type of its default
-_PARSERS = {bool: _bool, int: int, float: _finite, str: str, tuple: _int_list}
+_PARSERS = {bool: _bool, int: _int, float: _finite, str: str, tuple: _int_list}
 _DEFAULTS = RunConfig().flat()
 
 

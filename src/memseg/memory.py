@@ -30,6 +30,8 @@ from .kernels import sigmoid
 MAGIC = b"SMB2"
 VERSION = 1
 _F8 = np.dtype("<f8")  # the file's float layout, native float64 on little-endian hosts
+_IO_BUFFER = 1 << 20  # bytes buffered per memory-file open, so 8 KiB rows batch into few syscalls
+_SEAL_BYTES = 1 << 20  # squared-row temporaries per block when _seal caches many norms
 
 
 class MemoryFileError(ValueError):
@@ -154,18 +156,27 @@ def _put(base: MemoryBase, i: int, entry: MemoryEntry) -> None:
     base.mask_features[i] = entry.mask_feature.reshape(-1)
     base.positional_encodings[i] = entry.positional_encoding.reshape(-1)
     base.image_embeddings[i] = entry.image_embedding.reshape(-1)
-    _seal(base, i, entry.y_hat, entry.source_tag)
+    base.confidences[i] = entry.y_hat
+    base.tags[i : i + 1] = [entry.source_tag]
+    _seal(base, i, i + 1)
 
 
-def _seal(base: MemoryBase, i: int, y_hat: float, tag: str) -> None:
-    """Record slot i's confidence and tag once its rows are written, and
-    cache the values derived from them."""
-    base.confidences[i] = y_hat
-    base.squashed[i : i + 1] = sigmoid(base.confidences[i : i + 1])
-    # sqrt(add.reduce(r**2)) is bit-identical to np.linalg.norm(rows, axis=1)
-    base.feature_norms[i] = np.sqrt(np.add.reduce(base.mask_features[i] ** 2))
-    base.embedding_norms[i] = np.sqrt(np.add.reduce(base.image_embeddings[i] ** 2))
-    base.tags[i : i + 1] = [tag]
+def _seal(base: MemoryBase, lo: int, hi: int) -> None:
+    """Cache what slots [lo, hi) derive from their rows and confidences
+    once those are written: the squashed confidences and both row norms.
+    Many slots are normed in blocks of rows whose squares fill about
+    _SEAL_BYTES, so sealing a whole loaded base stays in a few MiB."""
+    base.squashed[lo:hi] = sigmoid(base.confidences[lo:hi])
+    if hi - lo == 1:  # an insert: one row, indexed, costs less than a slice
+        blocks = [lo]
+    else:
+        step = max(1, _SEAL_BYTES // base.mask_features.strides[0])
+        blocks = [slice(b, min(b + step, hi)) for b in range(lo, hi, step)]
+    for rows, norms in ((base.mask_features, base.feature_norms),
+                        (base.image_embeddings, base.embedding_norms)):
+        for rows_at in blocks:
+            # sqrt(add.reduce(r**2)) is bit-identical to np.linalg.norm(rows, axis=1)
+            norms[rows_at] = np.sqrt(np.add.reduce(rows[rows_at] ** 2, axis=-1))
 
 
 def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -323,14 +334,16 @@ def base_bytes(base: MemoryBase) -> bytes:
 
 def save_base(base: MemoryBase, path) -> None:
     """Write the base in the binary memory-file format (bit-exact floats),
-    row by row, so saving holds no file image."""
-    with open(path, "wb") as fh:
+    row by row through one _IO_BUFFER, so saving holds no file image."""
+    with open(path, "wb", buffering=_IO_BUFFER) as fh:
         fh.writelines(_chunks(base))
 
 
 class _Reader:
     """Sequential reads from a memory file, checked against its size first
-    so a corrupt length field can neither over-read nor over-allocate."""
+    so a corrupt length field can neither over-read nor over-allocate, and
+    against what arrives, so a file that shrinks after it was sized cannot
+    leave part of a row unwritten."""
 
     def __init__(self, fh):
         self.fh, self.left = fh, os.fstat(fh.fileno()).st_size
@@ -342,13 +355,23 @@ class _Reader:
                 f"truncated file: needed {n} bytes for {what}, had {self.left}"
             )
         self.left -= n
-        return self.fh.read(n) if into is None else self.fh.readinto(into)
+        if into is None:
+            into = self.fh.read(n)
+            got = len(into)
+        else:
+            got = self.fh.readinto(into)
+        if got < n:
+            raise TruncatedFileError(
+                f"truncated file: needed {n} bytes for {what}, read {got} before its end"
+            )
+        return into
 
 
 def load_base(path) -> MemoryBase:
     """Read a memory file written by save_base; round-trips bit-exactly.
-    Rows are read straight into the base, so loading holds no file image."""
-    with open(path, "rb") as fh:
+    Rows are read through one _IO_BUFFER straight into the base, so loading
+    holds no file image, and the derived caches are sealed once at the end."""
+    with open(path, "rb", buffering=_IO_BUFFER) as fh:
         r = _Reader(fh)
         magic = r.take(4, "magic")
         if magic != MAGIC:
@@ -362,14 +385,23 @@ def load_base(path) -> MemoryBase:
             raise ShapeInconsistencyError(f"count {count} exceeds capacity {capacity}")
         base = new_base(capacity, (c, h, w))
         for i in range(count):
-            (y_hat,) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
+            (base.confidences[i],) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
             (tag_len,) = struct.unpack("<I", r.take(4, f"entry {i} tag length"))
-            tag = str(r.take(tag_len, f"entry {i} tag"), "utf-8")
+            raw = r.take(tag_len, f"entry {i} tag")
+            try:
+                base.tags.append(str(raw, "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise MemoryFileError(f"entry {i} tag is not valid UTF-8: {exc.reason}"
+                                      f" at byte {exc.start}") from exc
             for rows, what in ((base.mask_features, "mask feature"),
                                (base.positional_encodings, "positional encoding"),
                                (base.image_embeddings, "image embedding")):
                 r.take(rows[i].nbytes, f"entry {i} {what}", into=rows[i])
-            _seal(base, i, y_hat, tag)
     if r.left:
         raise ShapeInconsistencyError(f"{r.left} unexpected trailing bytes")
+    bad = np.flatnonzero(~np.isfinite(base.confidences[:count]))
+    if bad.size:
+        i = int(bad[0])
+        raise MemoryFileError(f"entry {i} confidence {base.confidences[i]} is not finite")
+    _seal(base, 0, count)
     return base

@@ -1,6 +1,8 @@
 """Tests for the command-line interface and run configuration."""
 
 import json
+import math
+import struct
 import warnings
 from dataclasses import fields, replace
 
@@ -270,6 +272,10 @@ def test_unrecognized_args_rejected(capsys):
         ["gradcheck", "--tol", "nan"],
         ["gradcheck", "--tol", "inf"],
         ["simulate", "--set", "retrieval=none"],
+        ["mem-import", "{tmp}/tag_not_utf8.smb"],
+        ["mem-import", "{tmp}/nan_confidence.smb"],
+        ["simulate", "{tmp}/capacity_float.json"],
+        ["simulate", "{tmp}/k_bool.json"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
@@ -279,12 +285,21 @@ def test_unrecognized_args_rejected(capsys):
          "config-is-dir", "config-not-utf8", "slices-per-volume-0", "volumes-per-task-0",
          "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
          "key-gain-nan", "noise-sigma-inf", "gradcheck-h-nan", "gradcheck-tol-nan",
-         "gradcheck-tol-inf", "retrieval-none"],
+         "gradcheck-tol-inf", "retrieval-none", "import-tag-not-utf8", "import-nan-confidence",
+         "capacity-float", "k-bool"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
     (tmp_path / "a_file").write_bytes(b"")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    # one-entry memory files of shape (1, 1, 1): a bad tag, then a NaN confidence
+    header, rows = b"SMB2" + struct.pack("<6I", 1, 1, 1, 1, 1, 1), bytes(24)
+    (tmp_path / "tag_not_utf8.smb").write_bytes(
+        header + struct.pack("<dI", 0.5, 2) + b"\xc3(" + rows)
+    (tmp_path / "nan_confidence.smb").write_bytes(
+        header + struct.pack("<dI", math.nan, 0) + rows)
+    (tmp_path / "capacity_float.json").write_text(json.dumps({"memory.capacity": 2.7}))
+    (tmp_path / "k_bool.json").write_text(json.dumps({"memory.k": True}))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if argv[0] == "simulate" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "r")]

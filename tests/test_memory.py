@@ -2,6 +2,8 @@
 retrieval oracle and replacement-monotonicity properties."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memseg.cli import oracle_topk
+from memseg import memory
 from memseg.kernels import sigmoid
 from memseg.memory import (
     BadMagicError,
     MemoryEntry,
+    MemoryFileError,
     ShapeInconsistencyError,
     TruncatedFileError,
     VersionMismatchError,
@@ -491,19 +495,53 @@ def test_roundtrip_empty(tmp_path):
 
 
 def test_roundtrip_large_bit_identical(tmp_path):
+    # a load seals all slots at once, in blocks of rows; the count spans
+    # several blocks and ends inside one, and slot 130 is a zero row
+    shape = (16, 8, 8)
+    per_block = memory._SEAL_BYTES // (8 * math.prod(shape))
+    count = 600
+    assert count > per_block and count % per_block
     rng = np.random.default_rng(17)
-    base = new_base(640, SHAPE)
-    for i in range(640):
-        insert_or_replace(base, make_entry(rng, tag="task-3/frame-12" if i == 5 else ""))
+    base = new_base(640, shape)
+    for i in range(count):
+        f, pe, e = (rng.normal(size=shape) for _ in range(3))
+        if i == 130:
+            f, e = np.zeros(shape), np.zeros(shape)
+        y = float(rng.normal(0.0, 30.0))
+        insert_or_replace(base, MemoryEntry(f, pe, y, e, "task-3/frame-12" if i == 5 else ""))
     path = tmp_path / "full.smb"
     save_base(base, path)
+    assert path.read_bytes() == base_bytes(base)
     loaded = load_base(path)
     assert base_bytes(loaded) == base_bytes(base)
     assert slots(loaded) == slots(base)
     assert loaded.tags[5] == "task-3/frame-12"
-    # the cached norms are recomputed on load, bit for bit
-    assert loaded.feature_norms[:640].tobytes() == base.feature_norms[:640].tobytes()
-    assert loaded.embedding_norms[:640].tobytes() == base.embedding_norms[:640].tobytes()
+    # the caches are recomputed on load, bit for bit with the per-insert ones
+    for name in ("squashed", "feature_norms", "embedding_norms"):
+        assert getattr(loaded, name)[:count].tobytes() == getattr(base, name)[:count].tobytes()
+    assert loaded.feature_norms[130] == loaded.embedding_norms[130] == 0.0
+
+
+def test_load_peak_memory_is_the_base_plus_a_few_mib(tmp_path):
+    # buffered reads and the blockwise seal must never amount to holding
+    # the file image, which would double the peak
+    rng = np.random.default_rng(31)
+    base = fill_base(rng, 512, 512, (16, 8, 8))
+    path = tmp_path / "peak.smb"
+    save_base(base, path)
+    arrays = sum(a.nbytes for a in (base.mask_features, base.positional_encodings,
+                                    base.image_embeddings, base.confidences, base.squashed,
+                                    base.feature_norms, base.embedding_norms))
+    assert path.stat().st_size > arrays // 2
+    del base
+    tracemalloc.start()
+    try:
+        loaded = load_base(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 512
+    assert peak < arrays + (4 << 20)
 
 
 def test_squashed_confidences_match_vectorised_sigmoid(tmp_path):
@@ -543,6 +581,54 @@ def test_load_errors_report_byte_counts(tmp_path):
         load_base(path)
     path.write_bytes(data + b"\x01" * 3)
     with pytest.raises(ShapeInconsistencyError, match="^3 unexpected trailing bytes$"):
+        load_base(path)
+
+
+def test_load_short_read_is_truncation(tmp_path, monkeypatch):
+    # the file shrinks after load_base sized it: the reads come up short
+    rng = np.random.default_rng(25)
+    path = tmp_path / "shrunk.smb"
+    save_base(fill_base(rng, 4, 2), path)
+    data = path.read_bytes()
+    monkeypatch.setattr(memory.os, "fstat", lambda fd: SimpleNamespace(st_size=len(data)))
+    path.write_bytes(data[:-10])
+    with pytest.raises(TruncatedFileError,
+                       match="needed 64 bytes for entry 1 image embedding, read 54 before its end"):
+        load_base(path)
+    path.write_bytes(data[:20])
+    with pytest.raises(TruncatedFileError, match="needed 24 bytes for header, read 16"):
+        load_base(path)
+
+
+@pytest.mark.parametrize("y_hat", [math.nan, math.inf, -math.inf])
+def test_load_rejects_nonfinite_confidence(tmp_path, y_hat):
+    import struct as _struct
+
+    rng = np.random.default_rng(26)
+    path = tmp_path / "y.smb"
+    save_base(fill_base(rng, 4, 3), path)
+    data = bytearray(path.read_bytes())
+    entry = 12 + 3 * 8 * math.prod(SHAPE)  # confidence, tag length, empty tag, rows
+    at = 28 + 2 * entry  # entry 2's confidence
+    data[at : at + 8] = _struct.pack("<d", y_hat)
+    path.write_bytes(bytes(data))
+    with pytest.raises(MemoryFileError, match=f"^entry 2 confidence {y_hat} is not finite$"):
+        load_base(path)
+
+
+def test_load_rejects_tag_that_is_not_utf8(tmp_path):
+    rng = np.random.default_rng(28)
+    base = fill_base(rng, 4, 2)
+    base.tags[1] = "ab"
+    path = tmp_path / "tag.smb"
+    save_base(base, path)
+    data = bytearray(path.read_bytes())
+    at = 28 + (12 + 3 * 8 * math.prod(SHAPE)) + 12 + 1  # header, entry 0, then entry 1's "b"
+    assert data[at : at + 1] == b"b"
+    data[at] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(MemoryFileError,
+                       match="^entry 1 tag is not valid UTF-8: invalid start byte at byte 1$"):
         load_base(path)
 
 
