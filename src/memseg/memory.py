@@ -30,7 +30,7 @@ from .kernels import sigmoid
 MAGIC = b"SMB2"
 VERSION = 1
 _F8 = np.dtype("<f8")  # the file's float layout, native float64 on little-endian hosts
-_IO_BUFFER = 1 << 20  # bytes buffered per memory-file open, so 8 KiB rows batch into few syscalls
+_IO_BUFFER = 1 << 20  # bytes buffered per memory-file open: row-sized I/O batches into few syscalls
 _SEAL_BYTES = 1 << 20  # squared-row temporaries per block when _seal caches many norms
 
 
