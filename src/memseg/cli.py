@@ -343,7 +343,7 @@ def cmd_mem_export(args) -> int:
     try:
         base = _random_base(rng, args.capacity, count, tuple(args.shape), tag_prefix="export/")
         save_base(base, args.out)
-    except (OSError, MemoryError) as exc:
+    except (OSError, MemoryError, ValueError) as exc:
         print(f"mem-export: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"mem-export: wrote {len(base)} entries (capacity {args.capacity}) to {args.out}")

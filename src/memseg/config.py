@@ -112,6 +112,10 @@ def _int_list(v):
 
 
 def _finite(v):
+    """A finite number, or a numeric string such as a --set value; a bool
+    is an error rather than 0.0 or 1.0."""
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
     out = float(v)
     if not math.isfinite(out):
         raise ValueError(f"expected a finite number, got {v!r}")

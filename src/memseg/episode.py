@@ -131,8 +131,6 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
-    if len(base) == 0:
-        return None
     if cfg.retrieval == "random":
         return retrieve_random(base, cfg.k, rng_seed=event_seed)
     return retrieve_topk(base, embedding, cfg.k, use_confidence=cfg.use_confidence)
@@ -209,8 +207,7 @@ class _Runner:
         self.event += 1
         event_seed = _derive_seed(self.seed, 0x5EED, self.event)
         result = _retrieve(self.base, e, self.mem_cfg, event_seed)
-        retrieved = result.entries if result is not None else []
-        e_cond = fuse(e, pe, retrieved, self.fusion)
+        e_cond = fuse(e, pe, result.features, result.encodings, self.fusion)
         prompt = encode_prompt(bbox_of(frame.mask), self.settings.image_size)
         mask_hat, y_hat = predict(
             e_cond,
@@ -222,7 +219,7 @@ class _Runner:
         )
         self.digest.update(mask_hat.tobytes())
         self.digest.update(repr(y_hat).encode())
-        if self.settings.log_retrievals and result is not None:
+        if self.settings.log_retrievals and result.indices:  # an empty base logs nothing
             self.retrieval_log.append(
                 {
                     "frame": tag,

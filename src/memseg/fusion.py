@@ -5,73 +5,25 @@ Tokens are the H*W spatial positions with C channels.  Queries are
 LN(E_new) + PE_new tokens; keys and values are the concatenation over
 retrieved entries of LN(F_i) + PE_i tokens.  Positional encodings are
 added (not concatenated) so the model dim stays C.  The output is the
-residual sum E_new + CrossAttn(...); an empty retrieval list returns
+residual sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns
 E_new unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kernels import (
-    AttentionParams,
-    ShapeError,
-    attention_params,
-    layer_norm,
-    multi_head_attention,
-)
-
-
-@dataclass
-class FusionParams:
-    """Cross-attention weights plus the two pre-norm affine pairs; model_dim
-    must equal the channel count C of the feature shape."""
-
-    attn: AttentionParams
-    ln_q_gamma: np.ndarray
-    ln_q_beta: np.ndarray
-    ln_kv_gamma: np.ndarray
-    ln_kv_beta: np.ndarray
-
-    def __post_init__(self):
-        c = self.attn.model_dim
-        for name in ("ln_q_gamma", "ln_q_beta", "ln_kv_gamma", "ln_kv_beta"):
-            v = getattr(self, name)
-            if v.shape != (c,):
-                raise ShapeError(f"{name} shape {tuple(v.shape)} != ({c},)")
-
-
-def fusion_params(rng: np.random.Generator, channels: int, num_heads: int = 1,
-                  scale: float | None = None) -> FusionParams:
-    """Seeded-random fusion weights with unit layer-norm affines."""
-    return FusionParams(
-        attn=attention_params(rng, channels, num_heads, scale),
-        ln_q_gamma=np.ones(channels),
-        ln_q_beta=np.zeros(channels),
-        ln_kv_gamma=np.ones(channels),
-        ln_kv_beta=np.zeros(channels),
-    )
+from .kernels import AttentionParams, ShapeError, layer_norm, multi_head_attention
 
 
 def structured_fusion_params(channels: int, key_gain: float = 1.0,
-                             value_gain: float = 1.0, out_gain: float = 1.0) -> FusionParams:
+                             value_gain: float = 1.0, out_gain: float = 1.0) -> AttentionParams:
     """Analytic identity-based weights: queries/keys scaled by key_gain so
     positional agreement drives the attention pattern, values and output
     scaled so the retrieved content couples to the embedding with a
     predictable sign and magnitude."""
     eye = np.eye(channels)
-    attn = AttentionParams(
-        1, key_gain * eye, key_gain * eye, value_gain * eye, out_gain * eye
-    )
-    return FusionParams(
-        attn=attn,
-        ln_q_gamma=np.ones(channels),
-        ln_q_beta=np.zeros(channels),
-        ln_kv_gamma=np.ones(channels),
-        ln_kv_beta=np.zeros(channels),
-    )
+    return AttentionParams(1, key_gain * eye, key_gain * eye, value_gain * eye, out_gain * eye)
 
 
 def _tokens(t: np.ndarray) -> np.ndarray:
@@ -82,14 +34,16 @@ def _tokens(t: np.ndarray) -> np.ndarray:
 def fuse(
     embedding_new: np.ndarray,
     pe_new: np.ndarray,
-    retrieved: list[tuple[np.ndarray, np.ndarray]],
-    params: FusionParams,
+    features: np.ndarray,
+    encodings: np.ndarray,
+    attn: AttentionParams,
 ) -> np.ndarray:
-    """Condition embedding_new on retrieved (mask_feature, pe) pairs.
+    """Condition embedding_new on k retrieved mask features and their
+    positional encodings, each a (k, C, H, W) stack.
 
-    Returns a tensor of the same (C, H, W) shape.  With an empty retrieved
-    list the input is returned unchanged (bitwise), which is also the
-    behaviour of a capacity-0 memory.
+    Returns a tensor of the same (C, H, W) shape.  With k = 0 the input is
+    returned unchanged (bitwise), which is also the behaviour of a
+    capacity-0 memory.  Both layer norms use the unit affine.
     """
     e = np.asarray(embedding_new, dtype=np.float64)
     pe = np.asarray(pe_new, dtype=np.float64)
@@ -101,25 +55,24 @@ def fuse(
             f" shape {tuple(e.shape)}"
         )
     c, h, w = e.shape
-    if params.attn.model_dim != c:
+    if attn.model_dim != c:
+        raise ShapeError(f"fusion model_dim {attn.model_dim} != channel count {c}")
+    feats = np.asarray(features, dtype=np.float64)
+    mem_pes = np.asarray(encodings, dtype=np.float64)
+    if feats.shape[1:] != e.shape or mem_pes.shape != feats.shape:
         raise ShapeError(
-            f"fusion model_dim {params.attn.model_dim} != channel count {c}"
+            f"retrieved stacks {feats.shape}/{mem_pes.shape} are not both"
+            f" (k, {c}, {h}, {w})"
         )
-    if not retrieved:
+    if not len(feats):
         return e.copy()
 
-    for feat, mem_pe in retrieved:
-        if np.shape(feat) != e.shape or np.shape(mem_pe) != e.shape:
-            raise ShapeError(
-                f"retrieved entry shapes {np.shape(feat)}/{np.shape(mem_pe)}"
-                f" do not match query shape {tuple(e.shape)}"
-            )
-    feats, mem_pes = (np.array(a, dtype=np.float64) for a in zip(*retrieved))
+    ones, zeros = np.ones(c), np.zeros(c)
     # one layer norm over all entries' tokens; rows stay in entry order
-    kv = layer_norm(_tokens(feats), params.ln_kv_gamma, params.ln_kv_beta)
+    kv = layer_norm(_tokens(feats), ones, zeros)
     kv += _tokens(mem_pes)
 
     tokens = _tokens(e)
-    q = layer_norm(tokens, params.ln_q_gamma, params.ln_q_beta) + _tokens(pe)
-    tokens = tokens + multi_head_attention(q, kv, kv, params.attn)
+    q = layer_norm(tokens, ones, zeros) + _tokens(pe)
+    tokens = tokens + multi_head_attention(q, kv, kv, attn)
     return tokens.reshape(h, w, c).transpose(2, 0, 1)

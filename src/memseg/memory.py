@@ -73,24 +73,24 @@ class MemoryEntry:
 
 @dataclass
 class RetrievalResult:
-    """Selected entries with their indices and combined scores, ordered by
-    non-increasing score."""
+    """Selected slots and their combined scores, ordered by non-increasing
+    score, with copies of their mask features and positional encodings as
+    (k, C, H, W) stacks; an empty retrieval has k = 0."""
 
     indices: list[int]
     scores: list[float]
-    entries: list[tuple[np.ndarray, np.ndarray]]
+    features: np.ndarray
+    encodings: np.ndarray
 
 
 @dataclass
 class ReplaceOutcome:
     """What an insert did: appended, replaced(index, old_confidence), or
-    rejected.  s_max is the best mask-feature similarity when it was
-    computed (full base), else None."""
+    rejected."""
 
     kind: str  # appended | replaced | rejected
     index: int | None = None
     old_confidence: float | None = None
-    s_max: float | None = None
 
 
 class MemoryBase:
@@ -113,9 +113,14 @@ class MemoryBase:
         self.capacity = int(capacity)
         self.feature_shape = shape
         rows = (self.capacity, math.prod(shape))
-        self.mask_features, self.positional_encodings, self.image_embeddings = (
-            np.empty(rows, _F8) for _ in range(3)
-        )
+        try:
+            self.mask_features, self.positional_encodings, self.image_embeddings = (
+                np.empty(rows, _F8) for _ in range(3)
+            )
+        except ValueError as exc:  # numpy refuses the size before allocating
+            raise ValueError(
+                f"capacity {self.capacity} with feature shape {shape} is too big to allocate"
+            ) from exc
         self.confidences, self.squashed, self.feature_norms, self.embedding_norms = (
             np.empty(self.capacity) for _ in range(4)
         )
@@ -194,13 +199,20 @@ def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndar
     return np.clip(sims, -1.0, 1.0)
 
 
-def _selected(base: MemoryBase, idx: list[int], scores: list[float]) -> RetrievalResult:
-    """Result for slots idx; the arrays are copies of the rows, so a later
-    replacement cannot change what the caller holds."""
+def _ranked(base: MemoryBase, slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
+    """The min(k, len(slots)) candidate slots of highest score, exact ties
+    resolved toward the lower slot.  The arrays are copies of the rows, so a later replacement
+    cannot change what the caller holds."""
+    # lexsort: primary key -scores ascending (= scores descending), ties by slot
+    order = np.lexsort((slots, -scores))[:k]
+    idx = slots[order]
     shape = (len(idx), *base.feature_shape)
-    feats = base.mask_features[idx].reshape(shape)
-    encodings = base.positional_encodings[idx].reshape(shape)
-    return RetrievalResult(indices=idx, scores=scores, entries=list(zip(feats, encodings)))
+    return RetrievalResult(
+        indices=idx.tolist(),
+        scores=scores[order].tolist(),
+        features=base.mask_features[idx].reshape(shape),
+        encodings=base.positional_encodings[idx].reshape(shape),
+    )
 
 
 def retrieve_topk(
@@ -222,37 +234,26 @@ def retrieve_topk(
             f" base feature_shape {base.feature_shape}"
         )
     n = len(base)
-    if n == 0:
-        return RetrievalResult([], [], [])
     scores = _cosine_rows(
         base.image_embeddings[:n], base.embedding_norms[:n], embedding_new.ravel()
     )
     if use_confidence:
         scores = scores + base.squashed[:n]
-    # lexsort: primary key -scores ascending (= scores descending), ties by index
-    order = np.lexsort((np.arange(n), -scores))[: min(k, n)]
-    idx = [int(i) for i in order]
-    return _selected(base, idx, [float(scores[i]) for i in idx])
+    return _ranked(base, np.arange(n), scores, k)
 
 
 def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
     """Uniform sample of min(k, len) entries without replacement,
     deterministic per seed.  Scores are reported for the sampled entries
-    (and the result is ordered by them) but play no part in selection."""
+    (and the result is ordered by them, ties toward the lower slot as in
+    top-K) but play no part in selection."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     n = len(base)
-    if n == 0:
-        return RetrievalResult([], [], [])
-    rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(n, size=min(k, n), replace=False)
+    chosen = np.random.default_rng(rng_seed).choice(n, size=min(k, n), replace=False)
     # no query embedding is involved, so the similarity term is 0 and the
     # reported score is just the squashed confidence
-    scored = sorted(
-        ((float(base.squashed[i]), int(i)) for i in chosen),
-        key=lambda t: (-t[0], t[1]),
-    )
-    return _selected(base, [i for _, i in scored], [s for s, _ in scored])
+    return _ranked(base, chosen, base.squashed[chosen], k)
 
 
 def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
@@ -269,14 +270,11 @@ def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
         return ReplaceOutcome(kind="appended", index=n)
     sims = _cosine_rows(base.mask_features, base.feature_norms, new.mask_feature.ravel())
     i_star = int(np.argmax(sims))  # argmax takes the first (lowest-index) max
-    s_max = float(sims[i_star])
     old_confidence = float(base.confidences[i_star])
     if old_confidence < new.y_hat:
         _put(base, i_star, new)
-        return ReplaceOutcome(
-            kind="replaced", index=i_star, old_confidence=old_confidence, s_max=s_max
-        )
-    return ReplaceOutcome(kind="rejected", s_max=s_max)
+        return ReplaceOutcome(kind="replaced", index=i_star, old_confidence=old_confidence)
+    return ReplaceOutcome(kind="rejected")
 
 
 def stats(base: MemoryBase) -> MemoryStats:
@@ -379,11 +377,12 @@ def load_base(path) -> MemoryBase:
         version, capacity, count, c, h, w = struct.unpack("<IIIIII", r.take(24, "header"))
         if version != VERSION:
             raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
-        if c < 1 or h < 1 or w < 1:
-            raise ShapeInconsistencyError(f"non-positive feature shape ({c}, {h}, {w})")
         if count > capacity:
             raise ShapeInconsistencyError(f"count {count} exceeds capacity {capacity}")
-        base = new_base(capacity, (c, h, w))
+        try:  # a zero extent, or a base too big to allocate
+            base = new_base(capacity, (c, h, w))
+        except ValueError as exc:
+            raise ShapeInconsistencyError(str(exc)) from exc
         for i in range(count):
             (base.confidences[i],) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
             (tag_len,) = struct.unpack("<I", r.take(4, f"entry {i} tag length"))

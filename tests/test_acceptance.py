@@ -13,8 +13,8 @@ import pytest
 from memseg.adapter import block_params, grad_check
 from memseg.cli import main, oracle_topk
 from memseg.episode import EpisodeSettings, MemoryConfig, make_tasks, run_episode
-from memseg.fusion import fuse, fusion_params
-from memseg.kernels import softmax
+from memseg.fusion import fuse
+from memseg.kernels import attention_params, softmax
 from memseg.memory import (
     BadMagicError,
     MemoryEntry,
@@ -144,19 +144,21 @@ def test_a4_fusion_identities():
         h = int(rng.integers(1, 4))
         w = int(rng.integers(1, 4))
         heads = 1 if c % 2 else 2
-        params = fusion_params(np.random.default_rng(int(rng.integers(1 << 30))), c, heads)
+        params = attention_params(np.random.default_rng(int(rng.integers(1 << 30))), c, heads)
         e = rng.normal(size=(c, h, w))
         pe = rng.normal(size=(c, h, w))
         # empty memory returns the input bitwise
-        assert np.array_equal(fuse(e, pe, [], params), e)
+        none = np.empty((0, c, h, w))
+        assert np.array_equal(fuse(e, pe, none, none, params), e)
         # permutation invariance within 1e-12
         retrieved = [
             (rng.normal(size=(c, h, w)), rng.normal(size=(c, h, w)))
             for _ in range(int(rng.integers(2, 5)))
         ]
-        perm = list(rng.permutation(len(retrieved)))
-        out = fuse(e, pe, retrieved, params)
-        out_p = fuse(e, pe, [retrieved[i] for i in perm], params)
+        perm = rng.permutation(len(retrieved))
+        feats, encs = (np.stack(a) for a in zip(*retrieved))
+        out = fuse(e, pe, feats, encs, params)
+        out_p = fuse(e, pe, feats[perm], encs[perm], params)
         assert np.max(np.abs(out - out_p)) <= 1e-12
         # softmax rows sum to 1 within 1e-12
         rows = softmax(rng.uniform(-50, 50, (6, 7)), axis=-1)

@@ -276,6 +276,10 @@ def test_unrecognized_args_rejected(capsys):
         ["mem-import", "{tmp}/nan_confidence.smb"],
         ["simulate", "{tmp}/capacity_float.json"],
         ["simulate", "{tmp}/k_bool.json"],
+        ["simulate", "{tmp}/sigma_bool.json"],
+        ["mem-import", "{tmp}/huge_header.smb"],
+        ["mem-export", "--capacity", str(1 << 40), "--count", "0",
+         "--shape", "65535", "65535", "65535", "--out", "{tmp}/m.smb"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
@@ -286,7 +290,7 @@ def test_unrecognized_args_rejected(capsys):
          "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
          "key-gain-nan", "noise-sigma-inf", "gradcheck-h-nan", "gradcheck-tol-nan",
          "gradcheck-tol-inf", "retrieval-none", "import-tag-not-utf8", "import-nan-confidence",
-         "capacity-float", "k-bool"],
+         "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "export-huge-base"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
@@ -300,6 +304,10 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         header + struct.pack("<dI", math.nan, 0) + rows)
     (tmp_path / "capacity_float.json").write_text(json.dumps({"memory.capacity": 2.7}))
     (tmp_path / "k_bool.json").write_text(json.dumps({"memory.k": True}))
+    (tmp_path / "sigma_bool.json").write_text(json.dumps({"noise.feature_noise_sigma": True}))
+    # an empty base whose capacity and shape numpy refuses before allocating
+    (tmp_path / "huge_header.smb").write_bytes(
+        b"SMB2" + struct.pack("<6I", 1, (1 << 32) - 1, 0, 65535, 65535, 65535))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if argv[0] == "simulate" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "r")]

@@ -2,6 +2,7 @@
 retrieval oracle and replacement-monotonicity properties."""
 
 import math
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -84,7 +85,8 @@ def slots(base):
 def test_new_base_zero_capacity_retrieves_empty():
     base = new_base(0, SHAPE)
     res = retrieve_topk(base, np.ones(SHAPE), 4)
-    assert res.indices == [] and res.scores == [] and res.entries == []
+    assert res.indices == [] and res.scores == []
+    assert res.features.shape == res.encodings.shape == (0, *SHAPE)
 
 
 def test_new_base_default_and_small_capacities():
@@ -218,11 +220,11 @@ def test_retrieved_arrays_survive_replacement_of_their_slot():
     rng = np.random.default_rng(26)
     base = fill_base(rng, 1, 1)
     res = retrieve_topk(base, rng.normal(size=SHAPE), 1)
-    feat, enc = (a.copy() for a in res.entries[0])
+    feat, enc = res.features[0].copy(), res.encodings[0].copy()
     new = make_entry(rng, y_hat=float(base.confidences[0]) + 1.0)
     assert insert_or_replace(base, new).kind == "replaced"
-    assert np.array_equal(res.entries[0][0], feat)
-    assert np.array_equal(res.entries[0][1], enc)
+    assert np.array_equal(res.features[0], feat)
+    assert np.array_equal(res.encodings[0], enc)
     assert not np.array_equal(base.mask_features[0], feat.ravel())
 
 
@@ -277,6 +279,33 @@ def test_retrieve_random_scores_non_increasing():
     assert res.scores == sorted(res.scores, reverse=True)
 
 
+def test_retrieve_random_ties_go_to_the_lower_slot():
+    rng = np.random.default_rng(27)
+    base = new_base(8, SHAPE)
+    for _ in range(6):
+        insert_or_replace(base, make_entry(rng, y_hat=0.25))
+    for seed in range(5):
+        res = retrieve_random(base, 6, rng_seed=seed)
+        assert res.indices == list(range(6))
+        assert res.scores == [float(base.squashed[0])] * 6
+
+
+def test_retrieve_random_empty_base_returns_empty_stacks():
+    res = retrieve_random(new_base(5, SHAPE), 3, rng_seed=4)
+    assert res.indices == [] and res.scores == []
+    assert res.features.shape == res.encodings.shape == (0, *SHAPE)
+
+
+def test_retrieved_stacks_hold_the_selected_rows():
+    rng = np.random.default_rng(28)
+    base = fill_base(rng, 12, 9)
+    for res in (retrieve_topk(base, rng.normal(size=SHAPE), 4), retrieve_random(base, 4, 5)):
+        assert res.features.shape == res.encodings.shape == (4, *SHAPE)
+        for j, i in enumerate(res.indices):
+            assert res.features[j].tobytes() == base.mask_features[i].tobytes()
+            assert res.encodings[j].tobytes() == base.positional_encodings[i].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # insert / replace
 
@@ -305,7 +334,6 @@ def test_replace_when_new_more_confident():
     assert out.kind == "replaced"
     assert out.index == 0
     assert out.old_confidence == pytest.approx(0.3)
-    assert out.s_max == pytest.approx(1.0)
     assert base.mask_features[0].tobytes() == new.mask_feature.tobytes()
     assert base.positional_encodings[0].tobytes() == new.positional_encoding.tobytes()
     assert base.image_embeddings[0].tobytes() == new.image_embedding.tobytes()
@@ -566,8 +594,6 @@ def test_squashed_confidences_match_vectorised_sigmoid(tmp_path):
 
 
 def test_load_errors_report_byte_counts(tmp_path):
-    import struct as _struct
-
     rng = np.random.default_rng(24)
     path = tmp_path / "e.smb"
     save_base(fill_base(rng, 4, 2), path)
@@ -576,7 +602,7 @@ def test_load_errors_report_byte_counts(tmp_path):
     with pytest.raises(TruncatedFileError, match="needed 64 bytes for entry 1 image embedding, had 54"):
         load_base(path)
     # a corrupt tag length is checked against the file size before any read
-    path.write_bytes(data[:36] + _struct.pack("<I", 0xFFFFFFFF) + data[40:])
+    path.write_bytes(data[:36] + struct.pack("<I", 0xFFFFFFFF) + data[40:])
     with pytest.raises(TruncatedFileError, match="needed 4294967295 bytes for entry 0 tag"):
         load_base(path)
     path.write_bytes(data + b"\x01" * 3)
@@ -602,15 +628,13 @@ def test_load_short_read_is_truncation(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("y_hat", [math.nan, math.inf, -math.inf])
 def test_load_rejects_nonfinite_confidence(tmp_path, y_hat):
-    import struct as _struct
-
     rng = np.random.default_rng(26)
     path = tmp_path / "y.smb"
     save_base(fill_base(rng, 4, 3), path)
     data = bytearray(path.read_bytes())
     entry = 12 + 3 * 8 * math.prod(SHAPE)  # confidence, tag length, empty tag, rows
     at = 28 + 2 * entry  # entry 2's confidence
-    data[at : at + 8] = _struct.pack("<d", y_hat)
+    data[at : at + 8] = struct.pack("<d", y_hat)
     path.write_bytes(bytes(data))
     with pytest.raises(MemoryFileError, match=f"^entry 2 confidence {y_hat} is not finite$"):
         load_base(path)
@@ -651,6 +675,18 @@ def test_load_version_mismatch(tmp_path):
         load_base(path)
 
 
+@pytest.mark.parametrize("capacity, shape, match", [
+    ((1 << 32) - 1, (65535, 65535, 65535),
+     r"capacity 4294967295 with feature shape \(65535, 65535, 65535\) is too big"),
+    (4, (2, 0, 2), r"feature_shape must be three positive extents, got \(2, 0, 2\)"),
+], ids=["too-big-to-allocate", "zero-extent"])
+def test_load_rejects_header_no_base_can_hold(tmp_path, capacity, shape, match):
+    path = tmp_path / "h.smb"
+    path.write_bytes(b"SMB2" + struct.pack("<6I", 1, capacity, 0, *shape))
+    with pytest.raises(ShapeInconsistencyError, match=match):
+        load_base(path)
+
+
 def test_load_truncated(tmp_path):
     rng = np.random.default_rng(19)
     base = fill_base(rng, 4, 2)
@@ -674,14 +710,12 @@ def test_load_shape_inconsistency(tmp_path):
 
 
 def test_load_count_exceeding_capacity(tmp_path):
-    import struct as _struct
-
     rng = np.random.default_rng(21)
     base = fill_base(rng, 4, 2)
     path = tmp_path / "c.smb"
     save_base(base, path)
     data = bytearray(path.read_bytes())
-    data[8:12] = _struct.pack("<I", 1)  # capacity 1 < count 2
+    data[8:12] = struct.pack("<I", 1)  # capacity 1 < count 2
     path.write_bytes(bytes(data))
     with pytest.raises(ShapeInconsistencyError):
         load_base(path)
