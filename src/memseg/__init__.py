@@ -51,7 +51,6 @@ from .episode import (
 )
 from .pipeline import (
     EncoderConfig,
-    PromptEmbedding,
     bbox_of,
     encode_prompt,
     encode_stack,

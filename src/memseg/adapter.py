@@ -71,10 +71,6 @@ class AdapterParams:
     def channels(self) -> int:
         return self.w_down.shape[0]
 
-    @property
-    def bottleneck(self) -> int:
-        return self.w_down.shape[1]
-
 
 @dataclass
 class MlpParams:
@@ -191,6 +187,37 @@ def _adapter_cache(x_attn: np.ndarray, p: AdapterParams) -> dict[str, np.ndarray
     return {"ha": ha, "down": down, "conv": conv, "s": s, "branch": x_attn + s @ p.w_up}
 
 
+def _attention_stage(cache: dict[str, np.ndarray], p: BlockParams) -> None:
+    # ln1 and spatial attention over the H*W token grid, independently per frame b
+    x = cache["x"]
+    b, hh, ww, c = x.shape
+    tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
+    x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
+    cache.update(tokens=tokens, x_attn=x_attn)
+
+
+def _adapter_stage(cache: dict[str, np.ndarray], p: BlockParams) -> None:
+    cache.update(_adapter_cache(cache["x_attn"], p.adapter))
+    cache["x_out"] = cache["x"] + cache["branch"]
+
+
+def _mlp_stage(cache: dict[str, np.ndarray], p: BlockParams) -> None:
+    x_out = cache["x_out"]
+    h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
+    m1 = h2 @ p.mlp.w1 + p.mlp.b1
+    z = gelu(m1)
+    cache.update(h2=h2, m1=m1, z=z, y=x_out + z @ p.mlp.w2 + p.mlp.b2)
+
+
+# the block's forward stages in order, each with the groups it reads: the
+# input "x" and the parameter groups that prefix block_param_arrays' names
+_STAGES = (
+    (_attention_stage, ("x", "ln1", "attn")),
+    (_adapter_stage, ("x", "adapter")),
+    (_mlp_stage, ("ln2", "mlp")),
+)
+
+
 def _forward(
     x,
     p: BlockParams,
@@ -198,38 +225,12 @@ def _forward(
     start: int = 0,
 ) -> dict[str, np.ndarray]:
     # the block's forward, keeping every intermediate the backward needs;
-    # "y" is the output.  Three stages: 0 is ln1 and attention, 1 the
-    # adapter and x_out = x + branch, 2 ln2 and the MLP.  Given ``prefix``,
-    # the cache of an earlier forward with the same x and parameters, the
-    # forward resumes: x and the stages before ``start`` come from a copy
-    # of it, and only stages >= start read the parameters again.
-    if start not in (0, 1, 2):
-        raise ValueError(f"start must be stage 0, 1 or 2, got {start!r}")
-    if prefix is not None:
-        cache = dict(prefix)
-        x = cache["x"]
-    elif start:
-        raise ValueError(f"resuming at stage {start} needs a prefix cache")
-    else:
-        x = _as_input(x, p.channels)
-        cache = {"x": x}
-
-    if start == 0:
-        # spatial attention over the H*W token grid, independently per frame b
-        b, hh, ww, c = x.shape
-        tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
-        x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
-        cache.update(tokens=tokens, x_attn=x_attn)
-
-    if start <= 1:
-        cache.update(_adapter_cache(cache["x_attn"], p.adapter))
-        cache["x_out"] = x + cache["branch"]
-
-    x_out = cache["x_out"]
-    h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
-    m1 = h2 @ p.mlp.w1 + p.mlp.b1
-    z = gelu(m1)
-    cache.update(h2=h2, m1=m1, z=z, y=x_out + z @ p.mlp.w2 + p.mlp.b2)
+    # "y" is the output.  Given ``prefix``, the cache of an earlier forward
+    # with the same x and the same parameters of the stages before
+    # ``start``, it reruns only the stages from ``start`` on a copy of it.
+    cache = {"x": _as_input(x, p.channels)} if prefix is None else dict(prefix)
+    for stage, _ in _STAGES[start:]:
+        stage(cache, p)
     return cache
 
 
@@ -362,7 +363,7 @@ def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     before reduction, and the quotient uses the actually realized parameter
     step, so the estimate is limited by the forward's precision rather than
     by cancellation.  ``grad_check`` passes a forward that reruns only the
-    stages from the first one that reads ``arr`` (see ``_FD_STAGE``); the
+    stages from the first one that reads ``arr`` (see ``_STAGES``); the
     earlier stages come from its cache and would compute the same values.
     """
     if not arr.flags["C_CONTIGUOUS"]:
@@ -386,28 +387,11 @@ def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-# the first forward stage (see _forward) that reads each grad_check target;
-# x is read again by stage 1's x_out = x + branch, so it reruns all stages
-_FD_STAGE = {
-    "x": 0,
-    "ln1.gamma": 0,
-    "ln1.beta": 0,
-    "attn.w_q": 0,
-    "attn.w_k": 0,
-    "attn.w_v": 0,
-    "attn.w_o": 0,
-    "adapter.ln.gamma": 1,
-    "adapter.ln.beta": 1,
-    "adapter.w_down": 1,
-    "adapter.conv_kernel": 1,
-    "adapter.w_up": 1,
-    "ln2.gamma": 2,
-    "ln2.beta": 2,
-    "mlp.w1": 2,
-    "mlp.b1": 2,
-    "mlp.w2": 2,
-    "mlp.b2": 2,
-}
+def _first_stage(name: str) -> int:
+    """The first forward stage that reads a grad_check target, found by the
+    group at the front of its name."""
+    group = name.partition(".")[0]
+    return next(i for i, (_, reads) in enumerate(_STAGES) if group in reads)
 
 
 def grad_check(
@@ -421,7 +405,8 @@ def grad_check(
     summed output, elementwise, for the input and every parameter.
 
     The finite differences rerun the longdouble forward only from the
-    stage that first reads the perturbed array: x, ln1.* and attn.* rerun
+    stage that first reads the perturbed array, by the groups ``_STAGES``
+    lists for each stage: x, ln1.* and attn.* rerun
     the whole block, adapter.* resume at the adapter and ln2.* and mlp.*
     at ln2, from one cache of the unperturbed forward.  No stage reads a
     parameter of a later one, so the skipped stages would recompute
@@ -444,15 +429,15 @@ def grad_check(
     targets: dict[str, np.ndarray] = {"x": x}
     targets.update(block_param_arrays(p))
     prefix = _forward(x.astype(np.longdouble), p)
-    forwards = {
-        0: lambda: block_forward(x.astype(np.longdouble), p),
-        1: lambda: _forward(None, p, prefix=prefix, start=1)["y"],
-        2: lambda: _forward(None, p, prefix=prefix, start=2)["y"],
-    }
 
     rows = []
     for name, arr in targets.items():
-        fd = _fd_grad(forwards[_FD_STAGE[name]], arr, g, h)
+        start = _first_stage(name)
+        if start:
+            forward = lambda: _forward(None, p, prefix, start)["y"]
+        else:  # x may be the perturbed array, so convert it every time
+            forward = lambda: block_forward(x.astype(np.longdouble), p)
+        fd = _fd_grad(forward, arr, g, h)
         err = _rel_err(analytic[name], fd)
         rows.append(GradCheckRow(name=name, max_rel_err=err, passed=err <= tol))
     worst = max(r.max_rel_err for r in rows)

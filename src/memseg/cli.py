@@ -60,6 +60,8 @@ def _gradcheck_usage_error(args) -> str | None:
     names = ["x", *block_param_arrays(params)]
     if args.mutate is not None and args.mutate not in names:
         return f"--mutate must be one of {', '.join(names)}, got {args.mutate!r}"
+    if args.report and not Path(args.report).parent.is_dir():
+        return f"--report directory {Path(args.report).parent} does not exist"
     return None
 
 
@@ -101,7 +103,11 @@ def cmd_gradcheck(args) -> int:
             "worst_max_rel_err": worst,
             "results": results,
         }
-        Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2))
+        try:
+            Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2))
+        except OSError as exc:
+            print(f"gradcheck: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"wrote {args.report}")
     return EXIT_VIOLATION if failed else EXIT_OK
 
@@ -222,9 +228,7 @@ def cmd_memcheck(args) -> int:
 
 
 def _config_from_args(args):
-    overrides = parse_override_pairs(args.set or [])
-    overrides.update(getattr(args, "dotted_overrides", {}))
-    return load_config(args.config, overrides)
+    return load_config(args.config, parse_override_pairs(args.set or []))
 
 
 def cmd_simulate(args) -> int:
@@ -276,6 +280,9 @@ def _ablate_cell(payload):
 
 
 def cmd_ablate(args) -> int:
+    if args.workers < 1:
+        print(f"ablate: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_USAGE
     cfg = _config_from_args(args)
     cells = [
         (cfg, capacity, retrieval, adapter_on, confidence_on)
@@ -434,48 +441,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_config_flags(argv: list[str]) -> tuple[list[str], dict]:
-    """Pull ``--<config-key> value`` and ``--<config-key>=value`` shorthands
-    out of argv before argparse sees them; any key from the config schema
-    works (``--memory.capacity 0``, ``--retrieval random``)."""
-    rest: list[str] = []
-    overrides: dict = {}
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok.startswith("--"):
-            key, eq, val = tok[2:].partition("=")
-            if key in KEYS:
-                if eq:
-                    overrides[key] = val
-                    i += 1
-                    continue
-                if i + 1 >= len(argv):
-                    raise ConfigError(f"flag {tok} is missing a value")
-                overrides[key] = argv[i + 1]
-                i += 2
-                continue
-        rest.append(tok)
-        i += 1
-    return rest, overrides
+def _expand_shorthands(argv: list[str]) -> tuple[list[str], list[str]]:
+    """Rewrite each ``--<config-key> value`` or ``--<config-key>=value``
+    shorthand into ``--set key=value`` in place, so the later of any two
+    overrides of a key wins however each is spelled; any key from the
+    config schema works (``--memory.capacity 0``, ``--retrieval random``).
+    Returns the new argv and the shorthand keys found."""
+    out: list[str] = []
+    keys: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        key, eq, val = tok[2:].partition("=")
+        if not tok.startswith("--") or key not in KEYS:
+            out.append(tok)
+            continue
+        if not eq:
+            val = next(tokens, None)
+            if val is None:
+                raise ConfigError(f"flag {tok} is missing a value")
+        out += ["--set", f"{key}={val}"]
+        keys.append(key)
+    return out, keys
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        rest, overrides = _split_config_flags(list(argv))
+        rewritten, shorthands = _expand_shorthands(argv)
+        # only simulate and ablate take --set; the subcommand comes first
+        if shorthands and argv[:1] not in (["simulate"], ["ablate"]):
+            raise ConfigError(
+                f"config overrides are only valid after simulate or ablate:"
+                f" {' '.join(shorthands)}"
+            )
         try:
-            args = parser.parse_args(rest)
+            args = parser.parse_args(rewritten)
         except SystemExit as exc:  # argparse exits 2 on usage errors
             return int(exc.code or 0)
-        if overrides and args.command not in ("simulate", "ablate"):
-            raise ConfigError(
-                f"config overrides are only valid for simulate/ablate:"
-                f" {' '.join(sorted(overrides))}"
-            )
-        args.dotted_overrides = overrides
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

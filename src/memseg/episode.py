@@ -332,16 +332,7 @@ def run_episode(
         "seeds": [int(s) for s in seeds],
     }
     config = {
-        "tasks": [
-            {
-                "task_id": t.task_id,
-                "modality_tag": t.modality_tag,
-                "projection_seed": t.projection_seed,
-                "shape_family": t.shape_family,
-                "noise": asdict(t.noise),
-            }
-            for t in tasks
-        ],
+        "tasks": [asdict(t) for t in tasks],
         "memory": asdict(mem_cfg),
         "settings": asdict(settings),
         "seeds": [int(s) for s in seeds],

@@ -1,8 +1,8 @@
 """Desk-scale stand-ins for the segmentation pipeline around the memory
 mechanism: a patch-projection image encoder wrapped around the
-temporal-adapter blocks, a deterministic prompt encoder, a mask-feature
-encoder for memory entries, and an oracle-assisted mask/confidence
-decoder.
+temporal-adapter blocks, a box prompt checked against the image, a
+mask-feature encoder for memory entries, and an oracle-assisted
+mask/confidence decoder that gates its mask to the prompt box.
 
 The decoder's confidence is honest by construction: it is the logit of the
 true IoU between the predicted mask and the frame's (possibly corrupted)
@@ -200,32 +200,18 @@ def mask_feature(mask: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 # prompts
 
 
-@dataclass(frozen=True)
-class PromptEmbedding:
-    """Bounding-box prompt: pixel box (x0, y0, x1, y1), half-open, plus a
-    deterministic sinusoidal embedding of the normalized corners."""
-
-    bbox: tuple[int, int, int, int]
-    embedding: np.ndarray
-
-
-_PROMPT_FREQS = (0.7, 1.3, 2.9, 5.3)
-
-
-def encode_prompt(bbox: tuple[int, int, int, int], image_size: int = 32) -> PromptEmbedding:
-    """Sinusoidal encoding of the normalized box corners."""
+def encode_prompt(
+    bbox: tuple[int, int, int, int], image_size: int = 32
+) -> tuple[int, int, int, int]:
+    """The box prompt: pixel box (x0, y0, x1, y1), half-open, as ints
+    checked to lie inside the image."""
     x0, y0, x1, y1 = (int(v) for v in bbox)
     if not (0 <= x0 < x1 <= image_size and 0 <= y0 < y1 <= image_size):
         raise ValueError(
             f"invalid bbox {bbox}: need 0 <= x0 < x1 <= {image_size} and"
             f" 0 <= y0 < y1 <= {image_size}"
         )
-    coords = np.array([x0, y0, x1, y1], dtype=np.float64) / image_size
-    parts = []
-    for f in _PROMPT_FREQS:
-        parts.append(np.sin(np.pi * f * coords))
-        parts.append(np.cos(np.pi * f * coords))
-    return PromptEmbedding(bbox=(x0, y0, x1, y1), embedding=np.concatenate(parts))
+    return (x0, y0, x1, y1)
 
 
 def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -247,7 +233,7 @@ def _logit(p: float) -> float:
 
 def predict(
     e_cond: np.ndarray,
-    prompt: PromptEmbedding,
+    prompt: tuple[int, int, int, int],
     frame: Frame,
     cfg: EncoderConfig,
     miscalibration: float = 0.0,
@@ -271,7 +257,7 @@ def predict(
     scores = np.einsum("chw,c->hw", e_cond, w_dir)
     tokens_on = scores > tau
     up = tokens_on.repeat(cfg.patch_size, 0).repeat(cfg.patch_size, 1)
-    x0, y0, x1, y1 = prompt.bbox
+    x0, y0, x1, y1 = prompt
     box = np.zeros_like(up)
     box[y0:y1, x0:x1] = True
     mask_hat = (up & box).astype(np.uint8)

@@ -234,9 +234,12 @@ def test_fd_reference_forward_matches_production():
         assert np.abs(prod - ref.astype(np.float64)).max() < 1e-13
 
 
-def test_fd_stage_table_names_every_target():
-    p = tiny_block(34)
-    assert list(adapter._FD_STAGE) == ["x", *block_param_arrays(p)]
+def test_first_stage_of_every_target():
+    # x and the ln1/attn parameters rerun the whole block, the adapter's
+    # resume at stage 1 and the ln2/mlp parameters at stage 2
+    want = {"x": 0, "ln1": 0, "attn": 0, "adapter": 1, "ln2": 2, "mlp": 2}
+    for name in ["x", *block_param_arrays(tiny_block(34))]:
+        assert adapter._first_stage(name) == want[name.partition(".")[0]], name
 
 
 def test_resumed_forward_equals_full_forward_after_perturbation():
@@ -251,7 +254,7 @@ def test_resumed_forward_equals_full_forward_after_perturbation():
         i = int(rng.integers(flat.size))
         orig = flat[i]
         flat[i] = orig + 1e-3
-        resumed = adapter._forward(None, p, prefix=prefix, start=adapter._FD_STAGE[name])
+        resumed = adapter._forward(None, p, prefix, adapter._first_stage(name))
         full = block_forward(xl, p)
         flat[i] = orig
         assert resumed["y"].dtype == np.longdouble
@@ -259,14 +262,10 @@ def test_resumed_forward_equals_full_forward_after_perturbation():
         assert not np.array_equal(full, prefix["y"]), name
 
 
-def test_resume_rejects_bad_stage():
+def test_resume_at_stage_0_gives_the_prefix_output():
     p = tiny_block(36)
     prefix = adapter._forward(np.zeros((1, 2, 2, 4)), p)
-    with pytest.raises(ValueError):
-        adapter._forward(None, p, prefix=prefix, start=3)
-    with pytest.raises(ValueError):
-        adapter._forward(None, p, start=1)
-    assert np.array_equal(adapter._forward(None, p, prefix=prefix)["y"], prefix["y"])
+    assert np.array_equal(adapter._forward(None, p, prefix)["y"], prefix["y"])
 
 
 def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
@@ -286,7 +285,7 @@ def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
     assert grad_check(p, x).passed
     x_target = calls[0][0]  # grad_check perturbs its own float64 copy of x
     assert np.array_equal(x_target, x)
-    assert len(calls) == len(adapter._FD_STAGE)
+    assert len(calls) == 1 + len(block_param_arrays(p))
     for arr, g, h, fd in calls:
         full = real(lambda: block_forward(x_target.astype(np.longdouble), p), arr, g, h)
         assert np.array_equal(fd, full)

@@ -112,6 +112,16 @@ def test_gradcheck_zero_trials_usage_error(capsys):
     assert main(["gradcheck", "--trials", "0"]) == 2
 
 
+def test_gradcheck_report_write_error_exits_2(tmp_path, capsys):
+    # the directory exists, so the error comes from the write after the trials
+    argv = ["gradcheck", "--trials", "1", "--shape", "1", "2", "2", "4", "2",
+            "--report", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_gradcheck_mutation_fails_with_exit_1(tmp_path, capsys):
     report = tmp_path / "grad.json"
     rc = main([
@@ -158,6 +168,24 @@ def test_simulate_dotted_flag_overrides(tmp_path):
     assert main(["simulate", "--out", str(out), *TINY, "--memory.k", "2"]) == 0
     payload = json.loads((out / "aggregate.json").read_text())
     assert payload["config"]["memory"]["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, k",
+    [
+        (["--memory.k", "5", "--set", "memory.k=3"], 3),
+        (["--set", "memory.k=3", "--memory.k", "5"], 5),
+        (["--memory.k=5", "--set", "memory.k=3"], 3),
+        (["--set", "memory.k=3", "--memory.k=5"], 5),
+    ],
+    ids=["shorthand-then-set", "set-then-shorthand", "shorthand-eq-then-set",
+         "set-then-shorthand-eq"],
+)
+def test_later_override_wins_however_spelled(overrides, k, tmp_path):
+    out = tmp_path / "r"
+    argv = ["simulate", "--out", str(out), *TINY, "--set", "seeds=0", *overrides]
+    assert main(argv) == 0
+    assert json.loads((out / "aggregate.json").read_text())["config"]["memory"]["k"] == k
 
 
 def test_simulate_bad_config_exit_2(tmp_path, capsys):
@@ -280,6 +308,11 @@ def test_unrecognized_args_rejected(capsys):
         ["mem-import", "{tmp}/huge_header.smb"],
         ["mem-export", "--capacity", str(1 << 40), "--count", "0",
          "--shape", "65535", "65535", "65535", "--out", "{tmp}/m.smb"],
+        ["gradcheck", "--trials", "1", "--shape", "1", "2", "2", "4", "2",
+         "--report", "{tmp}/missing-dir/x.json"],
+        ["ablate", "--workers", "0", "--out", "{tmp}/abl.csv", *TINY, "--set", "seeds=0"],
+        ["ablate", "--workers", "-5", "--out", "{tmp}/abl.csv", *TINY, "--set", "seeds=0"],
+        ["gradcheck", "--memory.k", "5"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
@@ -290,7 +323,9 @@ def test_unrecognized_args_rejected(capsys):
          "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
          "key-gain-nan", "noise-sigma-inf", "gradcheck-h-nan", "gradcheck-tol-nan",
          "gradcheck-tol-inf", "retrieval-none", "import-tag-not-utf8", "import-nan-confidence",
-         "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "export-huge-base"],
+         "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "export-huge-base",
+         "gradcheck-report-missing-dir", "ablate-workers-0", "ablate-workers-neg",
+         "gradcheck-config-shorthand"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))

@@ -55,6 +55,15 @@ def test_report_schema_well_formed():
         assert len(row["memory_snapshots"]) == len(tasks)
         assert "mean_dsc" in report.aggregate
         assert report.config["memory"]["retrieval"] == retrieval
+        # the task echo the README's report schema documents
+        assert len(report.config["tasks"]) == len(tasks)
+        for echo in report.config["tasks"]:
+            assert set(echo) == {
+                "task_id", "modality_tag", "projection_seed", "shape_family", "noise",
+            }
+            assert set(echo["noise"]) == {
+                "label_corrupt_prob", "feature_noise_sigma", "confidence_miscalibration",
+            }
 
 
 def test_digest_ignores_memory_knobs_that_are_never_read():

@@ -117,11 +117,11 @@ def test_mask_feature_shape_and_determinism():
 # prompts
 
 
-def test_prompt_full_frame_canonical():
-    a = encode_prompt((0, 0, 32, 32), 32)
-    b = encode_prompt((0, 0, 32, 32), 32)
-    assert a.bbox == (0, 0, 32, 32)
-    assert np.array_equal(a.embedding, b.embedding)
+def test_prompt_is_the_checked_box():
+    assert encode_prompt((0, 0, 32, 32), 32) == (0, 0, 32, 32)
+    box = encode_prompt((np.int64(4), 5.0, 20, np.uint8(21)), 32)
+    assert box == (4, 5, 20, 21)
+    assert all(type(v) is int for v in box)
 
 
 def test_prompt_rejects_inverted_box():
@@ -131,20 +131,6 @@ def test_prompt_rejects_inverted_box():
         encode_prompt((0, 20, 32, 10), 32)
     with pytest.raises(ValueError):
         encode_prompt((0, 0, 40, 10), 32)
-
-
-def test_prompt_injective_over_box_grid():
-    # 16x16 grid of distinct boxes -> all embeddings distinct, and a 1px
-    # corner perturbation changes the embedding
-    seen = set()
-    for x0 in range(16):
-        for y0 in range(16):
-            p = encode_prompt((x0, y0, x0 + 16, y0 + 16), 32)
-            seen.add(p.embedding.tobytes())
-    assert len(seen) == 256
-    base = encode_prompt((4, 4, 20, 20), 32)
-    bumped = encode_prompt((5, 4, 20, 20), 32)
-    assert not np.array_equal(base.embedding, bumped.embedding)
 
 
 def test_bbox_of_tight_box():
