@@ -187,34 +187,57 @@ def _adapter_cache(x_attn: np.ndarray, p: AdapterParams) -> dict[str, np.ndarray
     return {"ha": ha, "down": down, "conv": conv, "s": s, "branch": x_attn + s @ p.w_up}
 
 
-def _attention_stage(cache: dict[str, np.ndarray], p: BlockParams) -> None:
-    # ln1 and spatial attention over the H*W token grid, independently per frame b
-    x = cache["x"]
-    b, hh, ww, c = x.shape
-    tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(b, hh * ww, c)
+def _store(cache: dict[str, np.ndarray], index, **values: np.ndarray) -> None:
+    # a stage's outputs: whole arrays, or, given an ``index``, one part of
+    # each written into a copy of the cached array
+    for key, value in values.items():
+        if index is not None:
+            value, part = cache[key].copy(), value
+            value[index] = part
+        cache[key] = value
+
+
+def _attention_stage(cache: dict[str, np.ndarray], p: BlockParams, frame=None) -> None:
+    # ln1 and spatial attention over the H*W token grid, independently per
+    # frame b, so a given ``frame`` is recomputed alone
+    frames = slice(None) if frame is None else slice(frame, frame + 1)
+    x = cache["x"][frames]
+    _, hh, ww, c = x.shape
+    tokens = layer_norm(x, p.ln1_gamma, p.ln1_beta).reshape(-1, hh * ww, c)
     x_attn = multi_head_attention(tokens, tokens, tokens, p.attn).reshape(x.shape)
-    cache.update(tokens=tokens, x_attn=x_attn)
+    _store(cache, None if frame is None else frames, tokens=tokens, x_attn=x_attn)
 
 
-def _adapter_stage(cache: dict[str, np.ndarray], p: BlockParams) -> None:
+def _adapter_stage(cache: dict[str, np.ndarray], p: BlockParams, part=None) -> None:
     cache.update(_adapter_cache(cache["x_attn"], p.adapter))
     cache["x_out"] = cache["x"] + cache["branch"]
 
 
-def _mlp_stage(cache: dict[str, np.ndarray], p: BlockParams) -> None:
-    x_out = cache["x_out"]
-    h2 = layer_norm(x_out, p.ln2_gamma, p.ln2_beta)
-    m1 = h2 @ p.mlp.w1 + p.mlp.b1
-    z = gelu(m1)
-    cache.update(h2=h2, m1=m1, z=z, y=x_out + z @ p.mlp.w2 + p.mlp.b2)
+def _hidden_stage(cache: dict[str, np.ndarray], p: BlockParams, unit=None) -> None:
+    # ln2 and the MLP's hidden layer, whose units are independent: a given
+    # ``unit`` recomputes its column of m1 and z from the cached h2
+    if unit is None:
+        cache["h2"] = layer_norm(cache["x_out"], p.ln2_gamma, p.ln2_beta)
+    units = slice(None) if unit is None else slice(unit, unit + 1)
+    m1 = cache["h2"] @ p.mlp.w1[:, units] + p.mlp.b1[units]
+    _store(cache, None if unit is None else (..., units), m1=m1, z=gelu(m1))
 
 
-# the block's forward stages in order, each with the groups it reads: the
-# input "x" and the parameter groups that prefix block_param_arrays' names
+def _output_stage(cache: dict[str, np.ndarray], p: BlockParams, part=None) -> None:
+    cache["y"] = cache["x_out"] + cache["z"] @ p.mlp.w2 + p.mlp.b2
+
+
+# The block's forward stages in order.  Each maps what it reads -- the
+# input "x", a parameter group (the front of block_param_arrays' names) or
+# a full name -- to the axis of that array along which the stage's outputs
+# separate, if any: an element of x in frame b changes only frame b of the
+# attention, and one of mlp.w1[:, j] or mlp.b1[j] only hidden unit j.  The
+# axis matters only for what the stage reads first.
 _STAGES = (
-    (_attention_stage, ("x", "ln1", "attn")),
-    (_adapter_stage, ("x", "adapter")),
-    (_mlp_stage, ("ln2", "mlp")),
+    (_attention_stage, {"x": 0, "ln1": None, "attn": None}),
+    (_adapter_stage, {"x": None, "adapter": None}),
+    (_hidden_stage, {"ln2": None, "mlp.w1": 1, "mlp.b1": 0}),
+    (_output_stage, {"mlp.w2": None, "mlp.b2": None}),
 )
 
 
@@ -223,14 +246,19 @@ def _forward(
     p: BlockParams,
     prefix: dict[str, np.ndarray] | None = None,
     start: int = 0,
+    part: int | None = None,
 ) -> dict[str, np.ndarray]:
     # the block's forward, keeping every intermediate the backward needs;
     # "y" is the output.  Given ``prefix``, the cache of an earlier forward
-    # with the same x and the same parameters of the stages before
-    # ``start``, it reruns only the stages from ``start`` on a copy of it.
-    cache = {"x": _as_input(x, p.channels)} if prefix is None else dict(prefix)
-    for stage, _ in _STAGES[start:]:
-        stage(cache, p)
+    # whose inputs differ only in what stage ``start`` reads first, it
+    # reruns only the stages from ``start`` on a copy of it, the first of
+    # them only at index ``part`` of its separating axis if one is given.
+    # An ``x`` given with a prefix replaces the cached input.
+    cache = {} if prefix is None else dict(prefix)
+    if x is not None:
+        cache["x"] = _as_input(x, p.channels)
+    for i, (stage, _) in enumerate(_STAGES[start:]):
+        stage(cache, p, part if i == 0 else None)
     return cache
 
 
@@ -353,7 +381,8 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of sum(forward() * g) w.r.t. arr.
+    """Central-difference gradient of sum(forward(i) * g) w.r.t. arr, where
+    ``forward(i)`` is the block output with flat element i of arr perturbed.
 
     ``forward`` is the block forward run in longdouble: in float64 it
     leaves ~1e-9 of rounding noise in a (f(x+h)-f(x-h))/2h quotient at
@@ -362,9 +391,11 @@ def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     orders of magnitude down.  The output difference is taken elementwise
     before reduction, and the quotient uses the actually realized parameter
     step, so the estimate is limited by the forward's precision rather than
-    by cancellation.  ``grad_check`` passes a forward that reruns only the
-    stages from the first one that reads ``arr`` (see ``_STAGES``); the
-    earlier stages come from its cache and would compute the same values.
+    by cancellation.  ``grad_check`` passes a forward that reruns only what
+    element i can change: the stages from the first one that reads ``arr``
+    (see ``_STAGES``), and in that stage only element i's frame or hidden
+    unit where the stage separates along one.  Everything else comes from
+    its cache and would compute the same values.
     """
     if not arr.flags["C_CONTIGUOUS"]:
         # ravel() of a non-contiguous array copies, losing the perturbation
@@ -377,21 +408,26 @@ def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
         orig = flat[i]
         flat[i] = orig + h
         theta_p = flat[i]
-        yp = forward()
+        yp = forward(i)
         flat[i] = orig - h
         theta_m = flat[i]
-        ym = forward()
+        ym = forward(i)
         flat[i] = orig
         step = np.longdouble(theta_p) - np.longdouble(theta_m)
         gflat[i] = float(((yp - ym) * gl).sum() / step)
     return grad
 
 
-def _first_stage(name: str) -> int:
-    """The first forward stage that reads a grad_check target, found by the
-    group at the front of its name."""
+def _first_stage(name: str) -> tuple[int, int | None]:
+    """The first forward stage that reads a grad_check target, found by its
+    full name or the group at its front, and the target's axis along which
+    that stage separates (None if it does not)."""
     group = name.partition(".")[0]
-    return next(i for i, (_, reads) in enumerate(_STAGES) if group in reads)
+    for i, (_, reads) in enumerate(_STAGES):
+        for key in (name, group):
+            if key in reads:
+                return i, reads[key]
+    raise KeyError(name)
 
 
 def grad_check(
@@ -404,21 +440,34 @@ def grad_check(
     """Compare block_backward against central finite differences of the
     summed output, elementwise, for the input and every parameter.
 
-    The finite differences rerun the longdouble forward only from the
-    stage that first reads the perturbed array, by the groups ``_STAGES``
-    lists for each stage: x, ln1.* and attn.* rerun
-    the whole block, adapter.* resume at the adapter and ln2.* and mlp.*
-    at ln2, from one cache of the unperturbed forward.  No stage reads a
-    parameter of a later one, so the skipped stages would recompute
-    exactly the cached values and every quotient is what full forwards
-    give.
+    Each finite difference reruns the longdouble forward only where the
+    perturbed element reaches, from one cache of the unperturbed forward.
+    By stage (``_STAGES``): x, ln1.* and attn.* start at ln1, adapter.* at
+    the adapter, ln2.*, mlp.w1 and mlp.b1 at ln2 and mlp.w2 and mlp.b2 at
+    the output projection.  Within the first stage: an element of x in
+    frame b reruns ln1 and attention for frame b alone, and one of
+    mlp.w1[:, j] or mlp.b1[j] recomputes hidden unit j alone; later stages
+    run whole.  No stage reads a parameter of a later one, attention never
+    mixes frames and hidden units never mix before the output projection,
+    so the skipped work would recompute exactly the cached values and every
+    quotient is what full forwards give.
 
-    ``mutate`` names a gradient to scale by 1.1 before comparison, as a
-    sentinel that the check actually detects wrong gradients.
+    ``h`` must change every target element in float64, or its quotient
+    would be 0/0.  ``mutate`` names a gradient to scale by 1.1 before
+    comparison, as a sentinel that the check actually detects wrong
+    gradients.
     """
     if not (0 < h < np.inf and 0 < tol < np.inf):
         raise ValueError(f"h and tol must be finite and positive, got {h} and {tol}")
     x = np.array(x, dtype=np.float64)
+    targets: dict[str, np.ndarray] = {"x": x}
+    targets.update(block_param_arrays(p))
+    for name, arr in targets.items():
+        if not np.all(arr + h != arr - h):
+            raise ValueError(
+                f"h={h} leaves an element of {name} unchanged in float64,"
+                " so its finite difference would be 0/0"
+            )
     g = np.ones_like(x)
     analytic = block_backward(x, p, g)
     if mutate is not None:
@@ -426,17 +475,18 @@ def grad_check(
             raise ValueError(f"unknown gradient name {mutate!r}")
         analytic[mutate] = analytic[mutate] * 1.1
 
-    targets: dict[str, np.ndarray] = {"x": x}
-    targets.update(block_param_arrays(p))
     prefix = _forward(x.astype(np.longdouble), p)
-
     rows = []
     for name, arr in targets.items():
-        start = _first_stage(name)
-        if start:
-            forward = lambda: _forward(None, p, prefix, start)["y"]
-        else:  # x may be the perturbed array, so convert it every time
-            forward = lambda: block_forward(x.astype(np.longdouble), p)
+        start, axis = _first_stage(name)
+        if axis is None:
+            parts = [None] * arr.size
+        else:  # each flat element's frame or hidden unit
+            parts = np.indices(arr.shape)[axis].ravel().tolist()
+        new_x = name == "x"  # the perturbed input is converted every time
+        forward = lambda i: _forward(
+            x.astype(np.longdouble) if new_x else None, p, prefix, start, parts[i]
+        )["y"]
         fd = _fd_grad(forward, arr, g, h)
         err = _rel_err(analytic[name], fd)
         rows.append(GradCheckRow(name=name, max_rel_err=err, passed=err <= tol))

@@ -79,7 +79,11 @@ def cmd_gradcheck(args) -> int:
         rng = np.random.default_rng(seed)
         params = block_params(rng, c, bottleneck=r, num_heads=args.heads)
         x = rng.normal(size=(b, h, w, c))
-        report = grad_check(params, x, h=args.h, tol=args.tol, mutate=args.mutate)
+        try:
+            report = grad_check(params, x, h=args.h, tol=args.tol, mutate=args.mutate)
+        except ValueError as exc:  # an h too small to move some element
+            print(f"gradcheck: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         worst = max(worst, report.max_rel_err)
         failed = failed or not report.passed
         results.append(

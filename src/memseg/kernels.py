@@ -32,6 +32,12 @@ def _arr(x, name: str) -> np.ndarray:
     return a
 
 
+def _into(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    # ``a`` as the output of an elementwise ufunc on (a, b) when that keeps
+    # the result dtype, so a float64 a with a longdouble b gets a new array
+    return a if np.result_type(a, b) == a.dtype else None
+
+
 @dataclass(frozen=True)
 class AttentionParams:
     """Weights of one multi-head attention: four square model_dim projections
@@ -93,11 +99,14 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> np.ndarray:
             f"gamma/beta shapes {tuple(gamma.shape)}/{tuple(beta.shape)} do not"
             f" match last axis of x {tuple(x.shape)}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    xhat = xc / np.sqrt(var + eps)
-    return xhat * gamma + beta
+    # add.reduce / d is mean's arithmetic; each temporary is reused in place
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= d
+    var += eps
+    xc /= np.sqrt(var, out=var)
+    out = np.multiply(xc, gamma, out=_into(xc, gamma))
+    return np.add(out, beta, out=_into(out, beta))
 
 
 def layer_norm_vjp(g, x, gamma, beta, eps: float = 1e-6):
@@ -161,15 +170,26 @@ def conv3d(x, kernel) -> np.ndarray:
         raise ShapeError(
             f"channel mismatch: x has Cin={x.shape[3]}, kernel expects {cin}"
         )
-    d, h, w = x.shape[:3]
-    pd, ph, pw = (kd - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x, ((pd, pd), (ph, ph), (pw, pw), (0, 0)))
-    out = np.zeros((d, h, w, cout), dtype=np.result_type(x, kernel))
-    for i in range(kd):
-        for j in range(kh):
-            for l in range(kw):
-                out += xp[i : i + d, j : j + h, l : l + w, :] @ kernel[i, j, l]
+    # each tap adds into the output rows whose shifted input row is in
+    # range; the zero rows padding would read add nothing
+    taps = [
+        [_tap(n, t - (k - 1) // 2) for t in range(k)]
+        for n, k in zip(x.shape[:3], (kd, kh, kw))
+    ]
+    out = np.zeros(x.shape[:3] + (cout,), dtype=np.result_type(x, kernel))
+    for i, (od, xd) in enumerate(taps[0]):
+        for j, (oh, xh) in enumerate(taps[1]):
+            for l, (ow, xw) in enumerate(taps[2]):
+                out[od, oh, ow] += x[xd, xh, xw] @ kernel[i, j, l]
     return out
+
+
+def _tap(n: int, offset: int) -> tuple[slice, slice]:
+    # the rows o of an axis of length n whose row o + offset is inside the
+    # axis, and those shifted rows; both empty when the offset reaches past n
+    lo = max(0, -offset)
+    hi = max(lo, min(n, n - offset))
+    return slice(lo, hi), slice(lo + offset, hi + offset)
 
 
 def conv3d_vjp(g, x, kernel):
@@ -203,9 +223,10 @@ def softmax(x, axis: int = -1) -> np.ndarray:
     x = _arr(x, "x")
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} invalid for shape {tuple(x.shape)}")
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_vjp(g, y, axis: int = -1) -> np.ndarray:
@@ -290,7 +311,8 @@ def multi_head_attention(q, k, v, params: AttentionParams) -> np.ndarray:
     qh = _split_heads(qf @ params.w_q, params.num_heads)
     kh = _split_heads(kf @ params.w_k, params.num_heads)
     vh = _split_heads(vf @ params.w_v, params.num_heads)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(params.head_dim)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(params.head_dim)
     attn = softmax(scores, axis=-1)
     out = _merge_heads(attn @ vh) @ params.w_o
     return out.reshape(lead + (tq, d))

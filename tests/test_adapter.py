@@ -3,6 +3,8 @@ and gradient agreement with finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memseg import adapter
 from memseg.adapter import (
@@ -236,30 +238,41 @@ def test_fd_reference_forward_matches_production():
 
 def test_first_stage_of_every_target():
     # x and the ln1/attn parameters rerun the whole block, the adapter's
-    # resume at stage 1 and the ln2/mlp parameters at stage 2
-    want = {"x": 0, "ln1": 0, "attn": 0, "adapter": 1, "ln2": 2, "mlp": 2}
+    # resume at stage 1, ln2, mlp.w1 and mlp.b1 at stage 2 and mlp.w2 and
+    # mlp.b2 at the output projection, stage 3; x separates by frame and
+    # the hidden layer's parameters by hidden unit
+    want = {"x": (0, 0), "ln1": (0, None), "attn": (0, None), "adapter": (1, None),
+            "ln2": (2, None), "mlp.w1": (2, 1), "mlp.b1": (2, 0),
+            "mlp.w2": (3, None), "mlp.b2": (3, None)}
     for name in ["x", *block_param_arrays(tiny_block(34))]:
-        assert adapter._first_stage(name) == want[name.partition(".")[0]], name
+        key = name if name in want else name.partition(".")[0]
+        assert adapter._first_stage(name) == want[key], name
 
 
 def test_resumed_forward_equals_full_forward_after_perturbation():
-    # perturb one element of each parameter; the forward resumed from that
-    # parameter's stage must give the full longdouble forward bit for bit
+    # perturb one element of the input and of each parameter; the forward
+    # resumed from that array's stage, at the element's frame or hidden
+    # unit where the stage separates, must give the full longdouble
+    # forward bit for bit
     rng = np.random.default_rng(35)
     p = block_params(rng, 8, bottleneck=4, num_heads=2)
-    xl = rng.normal(size=(2, 3, 3, 8)).astype(np.longdouble)
-    prefix = adapter._forward(xl, p)
-    for name, arr in block_param_arrays(p).items():
+    x = rng.normal(size=(3, 3, 3, 8))
+    prefix = adapter._forward(x.astype(np.longdouble), p)
+    for name, arr in {"x": x, **block_param_arrays(p)}.items():
+        start, axis = adapter._first_stage(name)
         flat = arr.ravel()
         i = int(rng.integers(flat.size))
+        part = None if axis is None else np.unravel_index(i, arr.shape)[axis]
         orig = flat[i]
         flat[i] = orig + 1e-3
-        resumed = adapter._forward(None, p, prefix, adapter._first_stage(name))
-        full = block_forward(xl, p)
+        xl = x.astype(np.longdouble)
+        resumed = adapter._forward(xl if name == "x" else None, p, prefix, start, part)
+        full = adapter._forward(xl, p)
         flat[i] = orig
         assert resumed["y"].dtype == np.longdouble
-        assert np.array_equal(resumed["y"], full), name
-        assert not np.array_equal(full, prefix["y"]), name
+        for key, value in full.items():
+            assert np.array_equal(resumed[key], value), (name, key)
+        assert not np.array_equal(full["y"], prefix["y"]), name
 
 
 def test_resume_at_stage_0_gives_the_prefix_output():
@@ -269,10 +282,11 @@ def test_resume_at_stage_0_gives_the_prefix_output():
 
 
 def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
-    # grad_check's resumed finite differences are bit-identical to the
+    # grad_check's resumed finite differences, sliced by frame (edge and
+    # middle of three) and by hidden unit (16), are bit-identical to the
     # quotients that full longdouble forwards give
     p = tiny_block(37)
-    x = np.random.default_rng(38).normal(size=(2, 2, 2, 4))
+    x = np.random.default_rng(38).normal(size=(3, 2, 2, 4))
     calls = []
     real = adapter._fd_grad
 
@@ -281,14 +295,55 @@ def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
         calls.append((arr, g, h, fd))
         return fd
 
+    frames, units = [], []
+    attention, gelu_ = adapter.multi_head_attention, adapter.gelu
     monkeypatch.setattr(adapter, "_fd_grad", recording)
+    monkeypatch.setattr(adapter, "multi_head_attention",
+                        lambda q, *a: frames.append(len(q)) or attention(q, *a))
+    monkeypatch.setattr(adapter, "gelu", lambda t: units.append(t.shape[-1]) or gelu_(t))
     assert grad_check(p, x).passed
+    # x's forwards attend over one frame, mlp.w1's and mlp.b1's compute one unit
+    assert frames.count(1) == 2 * x.size
+    assert units.count(1) == 2 * (p.mlp.w1.size + p.mlp.b1.size)
+    monkeypatch.undo()
     x_target = calls[0][0]  # grad_check perturbs its own float64 copy of x
     assert np.array_equal(x_target, x)
     assert len(calls) == 1 + len(block_param_arrays(p))
     for arr, g, h, fd in calls:
-        full = real(lambda: block_forward(x_target.astype(np.longdouble), p), arr, g, h)
+        full = real(lambda i: block_forward(x_target.astype(np.longdouble), p), arr, g, h)
         assert np.array_equal(fd, full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frames=st.integers(2, 4),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+    data=st.data(),
+)
+def test_perturbing_one_frame_leaves_other_frames_attention(seed, frames, dtype, data):
+    # the frame reach of grad_check rests on this: ln1 and attention never
+    # mix frames, so the other frames' x_attn keep their bits
+    rng = np.random.default_rng(seed)
+    p = block_params(rng, 4, bottleneck=2, num_heads=2)
+    x = rng.normal(size=(frames, 2, 3, 4)).astype(dtype)
+    b = data.draw(st.integers(0, frames - 1))
+    i = data.draw(st.integers(0, x[b].size - 1))
+    y = x.copy()
+    y[b].flat[i] += data.draw(st.floats(-1.0, 1.0).filter(lambda d: d != 0.0))
+    before, after = adapter._forward(x, p)["x_attn"], adapter._forward(y, p)["x_attn"]
+    others = [f for f in range(frames) if f != b]
+    assert np.array_equal(before[others], after[others])
+
+
+def test_grad_check_rejects_h_below_an_elements_spacing():
+    # an h that leaves an element unchanged would give a 0/0 quotient;
+    # zero x moves, so the first target named is ln1.gamma, all ones
+    p = tiny_block(39)
+    with pytest.raises(ValueError, match="ln1.gamma"):
+        grad_check(p, np.zeros((1, 2, 2, 4)), h=1e-300)
+    with pytest.raises(ValueError, match="of x unchanged"):
+        grad_check(p, np.ones((1, 2, 2, 4)), h=1e-17)
 
 
 def test_grad_check_validates_args():

@@ -343,6 +343,73 @@ def test_kernels_bit_identical_across_calls():
         assert sigmoid(xx).dtype == want
 
 
+def _padded_conv3d(x, kernel):
+    # conv3d as a sum over taps of the zero-padded input
+    kd, kh, kw, _, cout = kernel.shape
+    d, h, w = x.shape[:3]
+    pd, ph, pw = (kd - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((pd, pd), (ph, ph), (pw, pw), (0, 0)))
+    out = np.zeros((d, h, w, cout), dtype=np.result_type(x, kernel))
+    for i in range(kd):
+        for j in range(kh):
+            for l in range(kw):
+                out += xp[i : i + d, j : j + h, l : l + w, :] @ kernel[i, j, l]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_conv3d_equals_padded_form_bit_for_bit(dtype):
+    # each tap adds only its in-range rows; the padded rows it skips add zeros
+    rng = np.random.default_rng(18)
+    cases = [((3, 4, 4, 4), (3, 1, 1)), ((4, 5, 3, 2), (3, 3, 3)),
+             ((2, 3, 3, 3), (1, 1, 1)), ((1, 4, 4, 4), (3, 1, 1)),
+             ((1, 3, 2, 2), (3, 3, 3))]
+    for shape, extents in cases:
+        x = rng.normal(size=shape).astype(dtype)
+        kern = rng.normal(size=extents + (shape[3], 3))
+        out = conv3d(x, kern)
+        assert out.dtype == dtype
+        assert np.array_equal(out, _padded_conv3d(x, kern)), (shape, extents)
+
+
+def _reference_kernels(x, gamma, beta, p):
+    # layer_norm, softmax and attention written with fresh temporaries
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    ln = xc / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-6) * gamma + beta
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    sm = e / e.sum(axis=-1, keepdims=True)
+    t = x.reshape(-1, x.shape[-2], x.shape[-1])
+    split = lambda a: a.reshape(a.shape[0], a.shape[1], p.num_heads, -1).transpose(0, 2, 1, 3)
+    qh, kh, vh = split(t @ p.w_q), split(t @ p.w_k), split(t @ p.w_v)
+    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(p.head_dim)
+    a = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    a = a / a.sum(axis=-1, keepdims=True)
+    heads = (a @ vh).transpose(0, 2, 1, 3)
+    attn = (heads.reshape(t.shape[0], t.shape[1], -1) @ p.w_o).reshape(x.shape)
+    return ln, sm, attn
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_in_place_kernels_keep_bits_and_dtype(dtype):
+    rng = np.random.default_rng(19)
+    p = attention_params(rng, 8, 2)
+    x = rng.normal(size=(3, 16, 8)).astype(dtype)
+    gamma, beta = rng.normal(size=8), rng.normal(size=8)
+    ln, sm, attn = _reference_kernels(x, gamma, beta, p)
+    for got, want in ((layer_norm(x, gamma, beta), ln), (softmax(x), sm),
+                      (multi_head_attention(x, x, x, p), attn)):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    # a longdouble affine on a float64 input widens only the affine
+    x64 = x.astype(np.float64)
+    for g, b in ((gamma.astype(np.longdouble), beta), (gamma, beta.astype(np.longdouble))):
+        got = layer_norm(x64, g, b)
+        want = _reference_kernels(x64, g, b, p)[0]
+        assert got.dtype == want.dtype == np.longdouble
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
