@@ -5,14 +5,15 @@ One block maps (B, H, W, C) -> (B, H, W, C):
     x_out = x + adapter(MHA(LN(x)))     spatial attention per frame
     y     = x_out + MLP(LN(x_out))      residual MLP
 
-where the adapter is a bottleneck with a depth-axis 3D convolution:
+where the adapter is a bottleneck with a depth-axis convolution:
 
     adapter(t) = t + W_up(GELU(Conv3D(W_down * LN(t))))
 
-The seeded weights give the convolution a KD x 1 x 1 kernel, so it mixes
-only the B (volumetric/temporal) axis; spatial mixing is the attention's
-job.  The backward pass is written by hand through every kernel and is
-verified against central finite differences by ``grad_check``.
+The convolution's (KD, r, r) kernel holds one r x r tap per depth offset,
+so it mixes only the B (volumetric/temporal) axis; spatial mixing is the
+attention's job.  The backward pass is written by hand through every
+kernel and is verified against central finite differences by
+``grad_check``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .kernels import (
 @dataclass
 class AdapterParams:
     """Bottleneck weights: LN affine, down-projection (C, r), temporal conv
-    kernel (kd, kh, kw, r, r) with odd extents, up-projection (r, C)."""
+    kernel (kd, r, r) with odd kd, up-projection (r, C)."""
 
     ln_gamma: np.ndarray
     ln_beta: np.ndarray
@@ -60,12 +61,10 @@ class AdapterParams:
         if self.ln_gamma.shape != (c,) or self.ln_beta.shape != (c,):
             raise ShapeError("adapter LN affine must have length C")
         k = self.conv_kernel
-        if k.ndim != 5 or k.shape[3:] != (r, r):
+        if k.ndim != 3 or k.shape[1:] != (r, r) or k.shape[0] % 2 == 0:
             raise ShapeError(
-                f"conv_kernel shape {tuple(k.shape)} incompatible with bottleneck {r}"
+                f"conv_kernel shape {tuple(k.shape)} is not (odd kd, {r}, {r})"
             )
-        if any(e % 2 == 0 for e in k.shape[:3]):
-            raise ShapeError(f"conv kernel extents must be odd, got {k.shape[:3]}")
 
     @property
     def channels(self) -> int:
@@ -131,7 +130,7 @@ def adapter_params(
         ln_gamma=np.ones(channels),
         ln_beta=np.zeros(channels),
         w_down=rng.normal(0.0, SCALE / np.sqrt(channels), (channels, r)),
-        conv_kernel=rng.normal(0.0, SCALE / np.sqrt(r * KD), (KD, 1, 1, r, r)),
+        conv_kernel=rng.normal(0.0, SCALE / np.sqrt(r * KD), (KD, r, r)),
         w_up=rng.normal(0.0, SCALE / np.sqrt(r), (r, channels)),
     )
 
@@ -305,7 +304,6 @@ def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
         raise ShapeError(
             f"upstream gradient shape {tuple(g.shape)} != input {tuple(x.shape)}"
         )
-    b, hh, ww, c = x.shape
 
     # MLP branch
     dz, dw2, db2 = linear_vjp(g, f["z"], p.mlp.w2)
@@ -324,13 +322,11 @@ def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
     )
     dx_attn = dx_out + dx_attn_ln
 
-    # spatial attention (self-attention: query, key and value grads sum)
-    tokens = f["tokens"]
-    dq, dk, dv, dwq, dwk, dwv, dwo = multi_head_attention_vjp(
-        dx_attn.reshape(b, hh * ww, c), tokens, tokens, tokens, p.attn
+    # spatial self-attention over each frame's tokens
+    dh1, dwq, dwk, dwv, dwo = multi_head_attention_vjp(
+        dx_attn.reshape(f["tokens"].shape), f["tokens"], p.attn
     )
-    dh1 = (dq + dk + dv).reshape(x.shape)
-    dx_ln, dg1, db1_ln = layer_norm_vjp(dh1, x, p.ln1_gamma, p.ln1_beta)
+    dx_ln, dg1, db1_ln = layer_norm_vjp(dh1.reshape(x.shape), x, p.ln1_gamma, p.ln1_beta)
 
     return {
         "x": dx_out + dx_ln,
@@ -472,7 +468,9 @@ def grad_check(
     analytic = block_backward(x, p, g)
     if mutate is not None:
         if mutate not in analytic:
-            raise ValueError(f"unknown gradient name {mutate!r}")
+            raise ValueError(
+                f"unknown gradient name {mutate!r}, expected one of {', '.join(analytic)}"
+            )
         analytic[mutate] = analytic[mutate] * 1.1
 
     prefix = _forward(x.astype(np.longdouble), p)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import block_param_arrays, block_params, grad_check
+from .adapter import block_params, grad_check
 from .config import KEYS, ConfigError, load_config, parse_override_pairs
 from .episode import run_episode
 from .memory import (
@@ -45,21 +45,12 @@ EXIT_USAGE = 2
 
 
 def _gradcheck_usage_error(args) -> str | None:
-    _, _, _, c, r = args.shape
+    # the rest (bottleneck, heads, h, tol, mutate) is checked by the
+    # parameter classes and grad_check, whose ValueError exits 2
     if min(args.shape) < 1:
         return f"--shape extents must be positive, got {args.shape}"
     if args.trials < 1:
         return "--trials must be >= 1"
-    if r >= c:
-        return f"bottleneck {r} must be < channels {c}"
-    if args.heads < 1 or c % args.heads:
-        return f"--heads {args.heads} must be positive and divide channels {c}"
-    if not (0 < args.h < math.inf and 0 < args.tol < math.inf):
-        return f"--h and --tol must be finite and positive, got {args.h} and {args.tol}"
-    params = block_params(np.random.default_rng(0), c, r, args.heads)
-    names = ["x", *block_param_arrays(params)]
-    if args.mutate is not None and args.mutate not in names:
-        return f"--mutate must be one of {', '.join(names)}, got {args.mutate!r}"
     if args.report and not Path(args.report).parent.is_dir():
         return f"--report directory {Path(args.report).parent} does not exist"
     return None
@@ -77,11 +68,11 @@ def cmd_gradcheck(args) -> int:
     for i in range(args.trials):
         seed = args.seed + i
         rng = np.random.default_rng(seed)
-        params = block_params(rng, c, bottleneck=r, num_heads=args.heads)
-        x = rng.normal(size=(b, h, w, c))
         try:
+            params = block_params(rng, c, bottleneck=r, num_heads=args.heads)
+            x = rng.normal(size=(b, h, w, c))
             report = grad_check(params, x, h=args.h, tol=args.tol, mutate=args.mutate)
-        except ValueError as exc:  # an h too small to move some element
+        except ValueError as exc:
             print(f"gradcheck: {exc}", file=sys.stderr)
             return EXIT_USAGE
         worst = max(worst, report.max_rel_err)
@@ -339,13 +330,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_mem_export(args) -> int:
-    if args.capacity < 0 or min(args.shape) < 1:
-        print(
-            f"mem-export: need --capacity >= 0 and positive --shape extents,"
-            f" got {args.capacity} and {args.shape}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     if args.count < 0:
         print(f"mem-export: --count must be >= 0, got {args.count}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,5 @@
-"""Dense numeric kernels: normalization, projections, 3D convolution,
-attention and activations.
+"""Dense numeric kernels: normalization, projections, a depth-axis
+convolution, attention and activations.
 
 Tensors are C-contiguous arrays with explicit shapes.  Forward kernels keep
 a floating input's dtype (float64 in production, longdouble in the gradient
@@ -148,48 +148,39 @@ def linear_vjp(g, x, w):
 
 
 def conv3d(x, kernel) -> np.ndarray:
-    """3D convolution with symmetric zero "same" padding and stride 1.
+    """Convolution along the depth axis with symmetric zero "same" padding
+    and stride 1: a 3D convolution whose kernel spans one row and column.
 
     Args:
         x: input volume, shape (D, H, W, Cin).
-        kernel: filter bank, shape (kd, kh, kw, Cin, Cout); extents must be odd.
+        kernel: depth taps, shape (kd, Cin, Cout); kd must be odd.
 
     Returns:
         Output volume of shape (D, H, W, Cout).
     """
     x, kernel = _arr(x, "x"), _arr(kernel, "kernel")
-    if x.ndim != 4 or kernel.ndim != 5:
+    if x.ndim != 4 or kernel.ndim != 3:
         raise ShapeError(
-            f"expected x (D,H,W,Cin) and kernel (kd,kh,kw,Cin,Cout), got"
+            f"expected x (D,H,W,Cin) and kernel (kd,Cin,Cout), got"
             f" {tuple(x.shape)} and {tuple(kernel.shape)}"
         )
-    kd, kh, kw, cin, cout = kernel.shape
-    if kd % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"kernel extents must be odd, got ({kd}, {kh}, {kw})")
+    kd, cin, cout = kernel.shape
+    if kd % 2 == 0:
+        raise ShapeError(f"kernel depth extent must be odd, got {kd}")
     if x.shape[3] != cin:
         raise ShapeError(
             f"channel mismatch: x has Cin={x.shape[3]}, kernel expects {cin}"
         )
-    # each tap adds into the output rows whose shifted input row is in
-    # range; the zero rows padding would read add nothing
-    taps = [
-        [_tap(n, t - (k - 1) // 2) for t in range(k)]
-        for n, k in zip(x.shape[:3], (kd, kh, kw))
-    ]
+    # each tap adds into the output slices whose shifted input slice is in
+    # range; the zero slices padding would read add nothing
+    d = x.shape[0]
     out = np.zeros(x.shape[:3] + (cout,), dtype=np.result_type(x, kernel))
-    for i, (od, xd) in enumerate(taps[0]):
-        for j, (oh, xh) in enumerate(taps[1]):
-            for l, (ow, xw) in enumerate(taps[2]):
-                out[od, oh, ow] += x[xd, xh, xw] @ kernel[i, j, l]
+    for i in range(kd):
+        offset = i - kd // 2
+        lo = max(0, -offset)
+        hi = max(lo, min(d, d - offset))
+        out[lo:hi] += x[lo + offset : hi + offset] @ kernel[i]
     return out
-
-
-def _tap(n: int, offset: int) -> tuple[slice, slice]:
-    # the rows o of an axis of length n whose row o + offset is inside the
-    # axis, and those shifted rows; both empty when the offset reaches past n
-    lo = max(0, -offset)
-    hi = max(lo, min(n, n - offset))
-    return slice(lo, hi), slice(lo + offset, hi + offset)
 
 
 def conv3d_vjp(g, x, kernel):
@@ -197,42 +188,34 @@ def conv3d_vjp(g, x, kernel):
     g = np.asarray(g, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    kd, kh, kw = kernel.shape[:3]
-    d, h, w = x.shape[:3]
-    pd, ph, pw = (kd - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x, ((pd, pd), (ph, ph), (pw, pw), (0, 0)))
+    kd, d = kernel.shape[0], x.shape[0]
+    pd = kd // 2
+    xp = np.pad(x, ((pd, pd), (0, 0), (0, 0), (0, 0)))
     dxp = np.zeros_like(xp)
     dkernel = np.zeros_like(kernel)
     for i in range(kd):
-        for j in range(kh):
-            for l in range(kw):
-                dxp[i : i + d, j : j + h, l : l + w, :] += g @ kernel[i, j, l].T
-                dkernel[i, j, l] = np.tensordot(
-                    xp[i : i + d, j : j + h, l : l + w, :], g, axes=([0, 1, 2], [0, 1, 2])
-                )
-    dx = dxp[pd : pd + d, ph : ph + h, pw : pw + w, :]
-    return dx, dkernel
+        dxp[i : i + d] += g @ kernel[i].T
+        dkernel[i] = np.tensordot(xp[i : i + d], g, axes=([0, 1, 2], [0, 1, 2]))
+    return dxp[pd : pd + d], dkernel
 
 
 # ---------------------------------------------------------------------------
 # activations / softmax
 
 
-def softmax(x, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted) along ``axis``."""
+def softmax(x) -> np.ndarray:
+    """Numerically stable softmax (max-subtracted) along the last axis."""
     x = _arr(x, "x")
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} invalid for shape {tuple(x.shape)}")
-    e = x - x.max(axis=axis, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def softmax_vjp(g, y, axis: int = -1) -> np.ndarray:
+def softmax_vjp(g, y) -> np.ndarray:
     """Gradient of softmax given its output y and upstream g."""
     g = np.asarray(g, dtype=np.float64)
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x) -> np.ndarray:
@@ -297,6 +280,19 @@ def _attn_check(q, k, v, params: AttentionParams):
         )
 
 
+def _attention_weights(q, k, v, params: AttentionParams):
+    # q, k and v of shape (batch, seq, model_dim), projected and split into
+    # heads, and the softmaxed scores: the arithmetic the forward and the
+    # backward share
+    qh, kh, vh = (
+        _split_heads(a @ w, params.num_heads)
+        for a, w in ((q, params.w_q), (k, params.w_k), (v, params.w_v))
+    )
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(params.head_dim)
+    return qh, kh, vh, softmax(scores)
+
+
 def multi_head_attention(q, k, v, params: AttentionParams) -> np.ndarray:
     """Scaled dot-product attention; output has the shape of q.
 
@@ -306,32 +302,22 @@ def multi_head_attention(q, k, v, params: AttentionParams) -> np.ndarray:
     q, k, v = _arr(q, "q"), _arr(k, "k"), _arr(v, "v")
     _attn_check(q, k, v, params)
     lead, (tq, d) = q.shape[:-2], q.shape[-2:]
-    tk = k.shape[-2]
-    qf, kf, vf = (a.reshape(-1, a.shape[-2], d) for a in (q, k, v))
-    qh = _split_heads(qf @ params.w_q, params.num_heads)
-    kh = _split_heads(kf @ params.w_k, params.num_heads)
-    vh = _split_heads(vf @ params.w_v, params.num_heads)
-    scores = qh @ kh.transpose(0, 1, 3, 2)
-    scores /= math.sqrt(params.head_dim)
-    attn = softmax(scores, axis=-1)
+    flat = (a.reshape(-1, a.shape[-2], d) for a in (q, k, v))
+    _, _, vh, attn = _attention_weights(*flat, params)
     out = _merge_heads(attn @ vh) @ params.w_o
     return out.reshape(lead + (tq, d))
 
 
-def multi_head_attention_vjp(g, q, k, v, params: AttentionParams):
-    """Gradients of multi_head_attention w.r.t. (q, k, v, w_q, w_k, w_v, w_o)."""
+def multi_head_attention_vjp(g, x, params: AttentionParams):
+    """Gradients of self-attention, multi_head_attention(x, x, x), w.r.t.
+    (x, w_q, w_k, w_v, w_o); x's gradient sums its query, key and value
+    paths."""
     g = np.asarray(g, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     d = params.model_dim
-    qf, kf, vf = (a.reshape(-1, a.shape[-2], d) for a in (q, k, v))
+    xf = x.reshape(-1, x.shape[-2], d)
     gf = g.reshape(-1, g.shape[-2], d)
-    scale = 1.0 / math.sqrt(params.head_dim)
-
-    qp, kp, vp = qf @ params.w_q, kf @ params.w_k, vf @ params.w_v
-    qh, kh, vh = (_split_heads(a, params.num_heads) for a in (qp, kp, vp))
-    attn = softmax(qh @ kh.transpose(0, 1, 3, 2) * scale, axis=-1)
+    qh, kh, vh, attn = _attention_weights(xf, xf, xf, params)
     merged = _merge_heads(attn @ vh)
 
     d_merged = gf @ params.w_o.T
@@ -339,15 +325,12 @@ def multi_head_attention_vjp(g, q, k, v, params: AttentionParams):
     d_oh = _split_heads(d_merged, params.num_heads)
     d_attn = d_oh @ vh.transpose(0, 1, 3, 2)
     d_vh = attn.transpose(0, 1, 3, 2) @ d_oh
-    d_scores = softmax_vjp(d_attn, attn, axis=-1) * scale
+    d_scores = softmax_vjp(d_attn, attn)
+    d_scores /= math.sqrt(params.head_dim)
     d_qh = d_scores @ kh
     d_kh = d_scores.transpose(0, 1, 3, 2) @ qh
 
     d_qp, d_kp, d_vp = _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
-    dq = (d_qp @ params.w_q.T).reshape(q.shape)
-    dk = (d_kp @ params.w_k.T).reshape(k.shape)
-    dv = (d_vp @ params.w_v.T).reshape(v.shape)
-    dw_q = np.einsum("btd,bte->de", qf, d_qp)
-    dw_k = np.einsum("btd,bte->de", kf, d_kp)
-    dw_v = np.einsum("btd,bte->de", vf, d_vp)
-    return dq, dk, dv, dw_q, dw_k, dw_v, dw_o
+    dx = d_qp @ params.w_q.T + d_kp @ params.w_k.T + d_vp @ params.w_v.T
+    dw_q, dw_k, dw_v = (np.einsum("btd,bte->de", xf, a) for a in (d_qp, d_kp, d_vp))
+    return dx.reshape(x.shape), dw_q, dw_k, dw_v, dw_o

@@ -139,12 +139,12 @@ def _corrupt_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if axis == 0:
         if shift > 0:
             damaged[:shift] = 0
-        else:
+        elif shift < 0:
             damaged[shift:] = 0
     else:
         if shift > 0:
             damaged[:, :shift] = 0
-        else:
+        elif shift < 0:
             damaged[:, shift:] = 0
     erode = int(rng.integers(0, 3))
     for _ in range(erode):

@@ -161,7 +161,7 @@ def test_a4_fusion_identities():
         out_p = fuse(e, pe, feats[perm], encs[perm], params)
         assert np.max(np.abs(out - out_p)) <= 1e-12
         # softmax rows sum to 1 within 1e-12
-        rows = softmax(rng.uniform(-50, 50, (6, 7)), axis=-1)
+        rows = softmax(rng.uniform(-50, 50, (6, 7)))
         assert np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= 1e-12
     _ok("A4", "100 instances: empty-memory bitwise, permutation <= 1e-12")
 

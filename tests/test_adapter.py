@@ -89,24 +89,24 @@ def test_adapter_temporal_locality():
 
 def test_adapter_rejects_wide_bottleneck():
     rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bottleneck r=4 must be smaller than channels C=4"):
         AdapterParams(
             ln_gamma=np.ones(4),
             ln_beta=np.zeros(4),
             w_down=rng.normal(size=(4, 4)),
-            conv_kernel=rng.normal(size=(3, 1, 1, 4, 4)),
+            conv_kernel=rng.normal(size=(3, 4, 4)),
             w_up=rng.normal(size=(4, 4)),
         )
 
 
 def test_adapter_rejects_even_kernel():
     rng = np.random.default_rng(6)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"\(2, 2, 2\) is not \(odd kd, 2, 2\)"):
         AdapterParams(
             ln_gamma=np.ones(4),
             ln_beta=np.zeros(4),
             w_down=rng.normal(size=(4, 2)),
-            conv_kernel=rng.normal(size=(2, 1, 1, 2, 2)),
+            conv_kernel=rng.normal(size=(2, 2, 2)),
             w_up=rng.normal(size=(2, 4)),
         )
 
@@ -357,5 +357,5 @@ def test_grad_check_validates_args():
             grad_check(p, np.zeros((1, 2, 2, 4)), h=bad)
         with pytest.raises(ValueError):
             grad_check(p, np.zeros((1, 2, 2, 4)), tol=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'nope', expected one of x, ln1.gamma, .*, mlp.b2$"):
         grad_check(p, np.zeros((1, 2, 2, 4)), mutate="nope")

@@ -314,6 +314,8 @@ def test_unrecognized_args_rejected(capsys):
         ["ablate", "--workers", "-5", "--out", "{tmp}/abl.csv", *TINY, "--set", "seeds=0"],
         ["gradcheck", "--memory.k", "5"],
         ["gradcheck", "--trials", "1", "--h", "1e-300"],
+        ["gradcheck", "--heads", "0"],
+        ["gradcheck", "--shape", "3", "4", "4", "8", "8"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
@@ -326,7 +328,8 @@ def test_unrecognized_args_rejected(capsys):
          "gradcheck-tol-inf", "retrieval-none", "import-tag-not-utf8", "import-nan-confidence",
          "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "export-huge-base",
          "gradcheck-report-missing-dir", "ablate-workers-0", "ablate-workers-neg",
-         "gradcheck-config-shorthand", "gradcheck-h-below-spacing"],
+         "gradcheck-config-shorthand", "gradcheck-h-below-spacing", "gradcheck-heads-0",
+         "gradcheck-bottleneck-wide"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))

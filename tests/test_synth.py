@@ -111,6 +111,26 @@ def test_corruption_changes_label_not_features():
     assert not np.array_equal(a.mask, b.mask)
 
 
+def test_zero_label_shift_only_erodes():
+    # below size 6 the shift's magnitude can be 0: the label stays in place
+    # and loses only the bottom rows that erosion takes, never all of it
+    mask = np.zeros((4, 4), dtype=np.uint8)
+    mask[:3] = 1
+    zero_shifts = 0
+    for seed in range(64):
+        rng = np.random.default_rng(seed)  # _corrupt_mask's draws at size 4
+        magnitude, _, _, erode = (rng.integers(0, 2), rng.uniform(),
+                                  rng.integers(0, 2), int(rng.integers(0, 3)))
+        if magnitude:
+            continue
+        zero_shifts += 1
+        expected = np.zeros_like(mask)
+        expected[: 3 - erode] = 1
+        got = synth._corrupt_mask(mask, np.random.default_rng(seed))
+        assert np.array_equal(got, expected), seed
+    assert zero_shifts > 0
+
+
 def test_rectangle_family():
     f = gen_frame(make_task(family="rectangle"), 0, 3)
     assert f.mask.sum() > 0
