@@ -12,13 +12,13 @@ where the adapter is a bottleneck with a depth-axis convolution:
 The convolution's (KD, r, r) kernel holds one r x r tap per depth offset,
 so it mixes only the B (volumetric/temporal) axis; spatial mixing is the
 attention's job.  The backward pass is written by hand through every
-kernel and is verified against central finite differences by
-``grad_check``.
+kernel and is verified by ``grad_check`` against complex-step derivatives
+of the same forward run in complex128.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -214,11 +214,13 @@ def _adapter_stage(cache: dict[str, np.ndarray], p: BlockParams, part=None) -> N
 
 def _hidden_stage(cache: dict[str, np.ndarray], p: BlockParams, unit=None) -> None:
     # ln2 and the MLP's hidden layer, whose units are independent: a given
-    # ``unit`` recomputes its column of m1 and z from the cached h2
+    # ``unit`` recomputes its column of m1 and z from the cached h2.  The
+    # column is cut from the whole product, because BLAS rounds a
+    # one-column product differently
     if unit is None:
         cache["h2"] = layer_norm(cache["x_out"], p.ln2_gamma, p.ln2_beta)
     units = slice(None) if unit is None else slice(unit, unit + 1)
-    m1 = cache["h2"] @ p.mlp.w1[:, units] + p.mlp.b1[units]
+    m1 = (cache["h2"] @ p.mlp.w1)[..., units] + p.mlp.b1[units]
     _store(cache, None if unit is None else (..., units), m1=m1, z=gelu(m1))
 
 
@@ -262,8 +264,8 @@ def _forward(
 
 
 def block_forward(x, p: BlockParams) -> np.ndarray:
-    """Run one block.  The output keeps a floating input's dtype; other
-    inputs run in float64."""
+    """Run one block.  The output keeps a floating or complex input's
+    dtype; other inputs run in float64."""
     return _forward(x, p)["y"]
 
 
@@ -376,41 +378,35 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def _fd_grad(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of sum(forward(i) * g) w.r.t. arr, where
-    ``forward(i)`` is the block output with flat element i of arr perturbed.
+def _complex(obj):
+    # a complex128 copy of an array, or of a params dataclass with every
+    # array in it copied; C order, so ravel() of a copy is a view
+    if isinstance(obj, np.ndarray):
+        return obj.astype(np.complex128, order="C")
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: _complex(getattr(obj, f.name)) for f in fields(obj)})
+    return obj
 
-    ``forward`` is the block forward run in longdouble: in float64 it
-    leaves ~1e-9 of rounding noise in a (f(x+h)-f(x-h))/2h quotient at
-    h=1e-6, which swamps the 1e-5 relative tolerance on components whose
-    true gradient is below ~1e-4; longdouble pushes that noise floor three
-    orders of magnitude down.  The output difference is taken elementwise
-    before reduction, and the quotient uses the actually realized parameter
-    step, so the estimate is limited by the forward's precision rather than
-    by cancellation.  ``grad_check`` passes a forward that reruns only what
-    element i can change: the stages from the first one that reads ``arr``
-    (see ``_STAGES``), and in that stage only element i's frame or hidden
-    unit where the stage separates along one.  Everything else comes from
-    its cache and would compute the same values.
+
+def _complex_step(forward, arr: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """Complex-step gradient of sum(forward(i) * g) w.r.t. the complex copy
+    arr, where ``forward(i)`` is the block output with flat element i of
+    arr stepped by i*h.
+
+    The forward is analytic, so Im f(x + ih) / h is f'(x) up to O(h^2):
+    one forward per element, and with no difference of nearly equal
+    outputs there is no cancellation error to balance against that
+    truncation (Squire & Trapp, SIAM Review 1998; Martins et al., ACM TOMS
+    2003).
     """
-    if not arr.flags["C_CONTIGUOUS"]:
-        # ravel() of a non-contiguous array copies, losing the perturbation
-        raise ValueError("grad_check requires C-contiguous parameter arrays")
-    grad = np.zeros_like(arr)
+    grad = np.zeros(arr.shape)
     flat = arr.ravel()
     gflat = grad.ravel()
-    gl = np.asarray(g, dtype=np.longdouble)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        theta_p = flat[i]
-        yp = forward(i)
-        flat[i] = orig - h
-        theta_m = flat[i]
-        ym = forward(i)
+        flat[i] = orig + 1j * h
+        gflat[i] = (forward(i).imag * g).sum() / h
         flat[i] = orig
-        step = np.longdouble(theta_p) - np.longdouble(theta_m)
-        gflat[i] = float(((yp - ym) * gl).sum() / step)
     return grad
 
 
@@ -426,6 +422,9 @@ def _first_stage(name: str) -> tuple[int, int | None]:
     raise KeyError(name)
 
 
+_UPSTREAM_SEED = 0x6D5E6  # grad_check's upstream draws; its own SeedSequence
+
+
 def grad_check(
     p: BlockParams,
     x,
@@ -433,25 +432,32 @@ def grad_check(
     tol: float = 1e-5,
     mutate: str | None = None,
 ) -> GradCheckReport:
-    """Compare block_backward against central finite differences of the
-    summed output, elementwise, for the input and every parameter.
+    """Compare block_backward against complex-step derivatives of the
+    output's inner product with a random upstream gradient, elementwise, for
+    the input and every parameter.
 
-    Each finite difference reruns the longdouble forward only where the
-    perturbed element reaches, from one cache of the unperturbed forward.
-    By stage (``_STAGES``): x, ln1.* and attn.* start at ln1, adapter.* at
-    the adapter, ln2.*, mlp.w1 and mlp.b1 at ln2 and mlp.w2 and mlp.b2 at
-    the output projection.  Within the first stage: an element of x in
-    frame b reruns ln1 and attention for frame b alone, and one of
-    mlp.w1[:, j] or mlp.b1[j] recomputes hidden unit j alone; later stages
+    The upstream ``g`` is a standard normal draw from its own seed
+    (``_UPSTREAM_SEED``), the same for every call of a given shape: a
+    uniform upstream would pass a backward that adds 1 where it should add
+    ``g``.  The forward runs on complex128 copies of x and of the
+    parameters, and each element is stepped by i*h in place
+    (``_complex_step``), rerunning the forward only where it reaches, from
+    one cache of the unperturbed complex forward.  By stage (``_STAGES``):
+    x, ln1.* and attn.* start at ln1, adapter.* at the adapter, ln2.*,
+    mlp.w1 and mlp.b1 at ln2 and mlp.w2 and mlp.b2 at the output
+    projection.  Within the first stage: an element of x in frame b reruns
+    ln1 and attention for frame b alone, and one of mlp.w1[:, j] or
+    mlp.b1[j] recomputes hidden unit j's bias and GELU alone; later stages
     run whole.  No stage reads a parameter of a later one, attention never
     mixes frames and hidden units never mix before the output projection,
-    so the skipped work would recompute exactly the cached values and every
-    quotient is what full forwards give.
+    so the skipped work would recompute exactly the cached values and
+    every derivative is what full forwards give, bit for bit.
 
-    ``h`` must change every target element in float64, or its quotient
-    would be 0/0.  ``mutate`` names a gradient to scale by 1.1 before
-    comparison, as a sentinel that the check actually detects wrong
-    gradients.
+    ``h`` must change every target element in float64, as a real step
+    would; the complex step itself needs no such floor, but far smaller
+    steps push the imaginary parts toward float64's underflow.  ``mutate``
+    names a gradient to scale by 1.1 before comparison, as a sentinel that
+    the check actually detects wrong gradients.
     """
     if not (0 < h < np.inf and 0 < tol < np.inf):
         raise ValueError(f"h and tol must be finite and positive, got {h} and {tol}")
@@ -460,11 +466,8 @@ def grad_check(
     targets.update(block_param_arrays(p))
     for name, arr in targets.items():
         if not np.all(arr + h != arr - h):
-            raise ValueError(
-                f"h={h} leaves an element of {name} unchanged in float64,"
-                " so its finite difference would be 0/0"
-            )
-    g = np.ones_like(x)
+            raise ValueError(f"h={h} leaves an element of {name} unchanged in float64")
+    g = np.random.default_rng(_UPSTREAM_SEED).standard_normal(x.shape)
     analytic = block_backward(x, p, g)
     if mutate is not None:
         if mutate not in analytic:
@@ -473,20 +476,19 @@ def grad_check(
             )
         analytic[mutate] = analytic[mutate] * 1.1
 
-    prefix = _forward(x.astype(np.longdouble), p)
+    xc, pc = _complex(x), _complex(p)
+    prefix = _forward(xc, pc)
     rows = []
-    for name, arr in targets.items():
+    for name, arr in {"x": xc, **block_param_arrays(pc)}.items():
         start, axis = _first_stage(name)
         if axis is None:
             parts = [None] * arr.size
         else:  # each flat element's frame or hidden unit
             parts = np.indices(arr.shape)[axis].ravel().tolist()
-        new_x = name == "x"  # the perturbed input is converted every time
-        forward = lambda i: _forward(
-            x.astype(np.longdouble) if new_x else None, p, prefix, start, parts[i]
-        )["y"]
-        fd = _fd_grad(forward, arr, g, h)
-        err = _rel_err(analytic[name], fd)
+        new_x = xc if name == "x" else None  # the stepped input replaces the cached one
+        forward = lambda i: _forward(new_x, pc, prefix, start, parts[i])["y"]
+        cs = _complex_step(forward, arr, g, h)
+        err = _rel_err(analytic[name], cs)
         rows.append(GradCheckRow(name=name, max_rel_err=err, passed=err <= tol))
     worst = max(r.max_rel_err for r in rows)
     return GradCheckReport(passed=all(r.passed for r in rows), max_rel_err=worst, rows=rows)

@@ -2,10 +2,15 @@
 convolution, attention and activations.
 
 Tensors are C-contiguous arrays with explicit shapes.  Forward kernels keep
-a floating input's dtype (float64 in production, longdouble in the gradient
-check) and cast other inputs to float64; the ``*_vjp`` companions used by
-the hand-written block backward pass work in float64.  Every exported
-operation is pure and deterministic: identical inputs give identical bits.
+a floating or complex input's dtype (float64 in production, complex128 in
+the gradient check's complex step) and cast other inputs to float64; the
+``*_vjp`` companions used by the hand-written block backward pass work in
+float64.  The forward kernels the block runs are analytic -- layer norm
+squares with ``xc * xc``, softmax is invariant to its shift and GELU is a
+``tanh`` -- so on complex input they carry a directional derivative in
+the imaginary part; an ``abs`` or a ``maximum`` would break that.  Every
+exported operation is pure and deterministic: identical inputs give
+identical bits.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ class ShapeError(ValueError):
 
 def _float(x) -> np.ndarray:
     a = np.asarray(x)
-    return a if a.dtype.kind == "f" else a.astype(np.float64)
+    return a if a.dtype.kind in "fc" else a.astype(np.float64)
 
 
 def _arr(x, name: str) -> np.ndarray:

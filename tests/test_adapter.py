@@ -1,5 +1,9 @@
 """Tests for the temporal-adapter block: forward identities, locality,
-and gradient agreement with finite differences."""
+and gradient agreement with complex-step derivatives."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,39 @@ def test_grad_check_flags_mutated_w_up_only():
     assert report.failing() == ["adapter.w_up"]
 
 
+# backward mutants that give the true gradients under a uniform upstream
+# g = ones, as (correct source line, mutated line) in adapter.py
+UNIFORM_UPSTREAM_MUTANTS = {
+    "residual-adds-one": ("dx_out = g + dx_out_ln", "dx_out = 1.0 + dx_out_ln"),
+    "mlp-vjp-of-ones": ('linear_vjp(g, f["z"], p.mlp.w2)',
+                        'linear_vjp(np.ones_like(g), f["z"], p.mlp.w2)'),
+    "b2-grad-is-row-count": ('"mlp.b2": db2,',
+                             '"mlp.b2": np.full_like(db2, g.size // g.shape[-1]),'),
+}
+
+
+@pytest.mark.parametrize("old,new", UNIFORM_UPSTREAM_MUTANTS.values(),
+                         ids=UNIFORM_UPSTREAM_MUTANTS)
+def test_grad_check_fails_a_mutant_that_a_uniform_upstream_passes(
+    old, new, tmp_path, monkeypatch
+):
+    source = Path(adapter.__file__).read_text()
+    assert source.count(old) == 1
+    path = tmp_path / "adapter_mutant.py"
+    path.write_text(source.replace(old, new))
+    spec = importlib.util.spec_from_file_location("memseg.adapter_mutant", path)
+    mutant = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mutant)
+    spec.loader.exec_module(mutant)
+    p = tiny_block(42)
+    x = np.random.default_rng(43).normal(size=(2, 2, 2, 4))
+    ones = np.ones_like(x)
+    right, wrong = block_backward(x, p, ones), mutant.block_backward(x, p, ones)
+    for name, grad in right.items():
+        assert np.array_equal(wrong[name], grad), name
+    assert not mutant.grad_check(p, x).passed
+
+
 def test_grad_check_zero_instance_trivially_passes():
     p = tiny_block(31)
     for arr in block_param_arrays(p).values():
@@ -224,16 +261,19 @@ def test_grad_check_zero_instance_trivially_passes():
 
 
 def test_fd_reference_forward_matches_production():
-    # grad_check's finite differences run block_forward on longdouble input;
-    # that must keep the dtype and track the float64 forward to round-off
+    # grad_check's complex step runs block_forward on complex128 copies of x
+    # and the parameters; with no step taken that must keep the dtype, give
+    # an imaginary part of exactly 0 and track the float64 forward to
+    # round-off
     rng = np.random.default_rng(33)
     for seed in range(5):
         p = block_params(np.random.default_rng(seed), 8, bottleneck=4, num_heads=2)
         x = rng.normal(size=(2, 3, 3, 8))
         prod = block_forward(x, p)
-        ref = block_forward(x.astype(np.longdouble), p)
-        assert ref.dtype == np.longdouble
-        assert np.abs(prod - ref.astype(np.float64)).max() < 1e-13
+        ref = block_forward(adapter._complex(x), adapter._complex(p))
+        assert ref.dtype == np.complex128
+        assert not ref.imag.any()
+        assert np.abs(prod - ref.real).max() < 1e-13
 
 
 def test_first_stage_of_every_target():
@@ -250,26 +290,25 @@ def test_first_stage_of_every_target():
 
 
 def test_resumed_forward_equals_full_forward_after_perturbation():
-    # perturb one element of the input and of each parameter; the forward
-    # resumed from that array's stage, at the element's frame or hidden
-    # unit where the stage separates, must give the full longdouble
-    # forward bit for bit
+    # step one element of the complex input and of each complex parameter
+    # by an imaginary 1e-3; the forward resumed from that array's stage, at
+    # the element's frame or hidden unit where the stage separates, must
+    # give the full complex forward bit for bit
     rng = np.random.default_rng(35)
-    p = block_params(rng, 8, bottleneck=4, num_heads=2)
-    x = rng.normal(size=(3, 3, 3, 8))
-    prefix = adapter._forward(x.astype(np.longdouble), p)
+    p = adapter._complex(block_params(rng, 8, bottleneck=4, num_heads=2))
+    x = adapter._complex(rng.normal(size=(3, 3, 3, 8)))
+    prefix = adapter._forward(x.copy(), p)
     for name, arr in {"x": x, **block_param_arrays(p)}.items():
         start, axis = adapter._first_stage(name)
         flat = arr.ravel()
         i = int(rng.integers(flat.size))
         part = None if axis is None else np.unravel_index(i, arr.shape)[axis]
         orig = flat[i]
-        flat[i] = orig + 1e-3
-        xl = x.astype(np.longdouble)
-        resumed = adapter._forward(xl if name == "x" else None, p, prefix, start, part)
-        full = adapter._forward(xl, p)
+        flat[i] = orig + 1e-3j
+        resumed = adapter._forward(x if name == "x" else None, p, prefix, start, part)
+        full = adapter._forward(x, p)
         flat[i] = orig
-        assert resumed["y"].dtype == np.longdouble
+        assert resumed["y"].dtype == np.complex128
         for key, value in full.items():
             assert np.array_equal(resumed[key], value), (name, key)
         assert not np.array_equal(full["y"], prefix["y"]), name
@@ -281,37 +320,70 @@ def test_resume_at_stage_0_gives_the_prefix_output():
     assert np.array_equal(adapter._forward(None, p, prefix)["y"], prefix["y"])
 
 
-def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
-    # grad_check's resumed finite differences, sliced by frame (edge and
-    # middle of three) and by hidden unit (16), are bit-identical to the
-    # quotients that full longdouble forwards give
-    p = tiny_block(37)
-    x = np.random.default_rng(38).normal(size=(3, 2, 2, 4))
-    calls = []
-    real = adapter._fd_grad
+def _recording_complex_step(monkeypatch):
+    # grad_check's complex-step gradients, one (g, h, gradient) per target
+    calls, real = [], adapter._complex_step
 
     def recording(forward, arr, g, h):
-        fd = real(forward, arr, g, h)
-        calls.append((arr, g, h, fd))
-        return fd
+        cs = real(forward, arr, g, h)
+        calls.append((g, h, cs))
+        return cs
 
+    monkeypatch.setattr(adapter, "_complex_step", recording)
+    return calls
+
+
+def test_grad_check_fd_equals_full_forward_fd(monkeypatch):
+    # grad_check's resumed complex steps, sliced by frame (edge and middle
+    # of three) and by hidden unit (16), are bit-identical to the
+    # derivatives that full complex forwards give
+    p = tiny_block(37)
+    x = np.random.default_rng(38).normal(size=(3, 2, 2, 4))
+    calls = _recording_complex_step(monkeypatch)
     frames, units = [], []
     attention, gelu_ = adapter.multi_head_attention, adapter.gelu
-    monkeypatch.setattr(adapter, "_fd_grad", recording)
     monkeypatch.setattr(adapter, "multi_head_attention",
                         lambda q, *a: frames.append(len(q)) or attention(q, *a))
     monkeypatch.setattr(adapter, "gelu", lambda t: units.append(t.shape[-1]) or gelu_(t))
     assert grad_check(p, x).passed
-    # x's forwards attend over one frame, mlp.w1's and mlp.b1's compute one unit
-    assert frames.count(1) == 2 * x.size
-    assert units.count(1) == 2 * (p.mlp.w1.size + p.mlp.b1.size)
+    # one forward per element: x's attend over one frame, mlp.w1's and
+    # mlp.b1's compute one unit
+    assert frames.count(1) == x.size
+    assert units.count(1) == p.mlp.w1.size + p.mlp.b1.size
     monkeypatch.undo()
-    x_target = calls[0][0]  # grad_check perturbs its own float64 copy of x
-    assert np.array_equal(x_target, x)
-    assert len(calls) == 1 + len(block_param_arrays(p))
-    for arr, g, h, fd in calls:
-        full = real(lambda i: block_forward(x_target.astype(np.longdouble), p), arr, g, h)
-        assert np.array_equal(fd, full)
+    xc, pc = adapter._complex(x), adapter._complex(p)
+    targets = {"x": xc, **block_param_arrays(pc)}
+    assert len(calls) == len(targets)
+    for (g, h, cs), arr in zip(calls, targets.values()):
+        full = adapter._complex_step(lambda i: block_forward(xc, pc), arr, g, h)
+        assert np.array_equal(cs, full)
+
+
+def test_complex_step_agrees_with_longdouble_central_differences(monkeypatch):
+    # the oracle this check replaced: central differences of full
+    # longdouble forwards, each quotient over the step the float64 element
+    # actually took.  Both are O(h^2) estimates, their errors of opposite
+    # sign; the worst relative difference measured here is 1.5e-9, at an
+    # mlp.w1 element whose gradient is 1.9e-4
+    p = tiny_block(40)
+    x = np.random.default_rng(41).normal(size=(2, 2, 2, 4))
+    calls = _recording_complex_step(monkeypatch)
+    assert grad_check(p, x).passed
+    worst = 0.0
+    for (g, h, cs), arr in zip(calls, {"x": x, **block_param_arrays(p)}.values()):
+        fd = np.zeros(arr.shape)
+        flat = arr.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            ys = []
+            for theta in (orig + h, orig - h):
+                flat[i] = theta
+                ys.append(block_forward(x.astype(np.longdouble), p))
+            step = np.longdouble(orig + h) - np.longdouble(orig - h)
+            flat[i] = orig
+            fd.flat[i] = ((ys[0] - ys[1]) * g).sum() / step
+        worst = max(worst, adapter._rel_err(cs, fd))
+    assert worst <= 1e-8
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,6 +21,7 @@ from memseg.kernels import (
     multi_head_attention_vjp,
     sigmoid,
     softmax,
+    softmax_vjp,
 )
 
 
@@ -322,8 +323,7 @@ def test_kernels_bit_identical_across_calls():
     assert np.array_equal(
         multi_head_attention(q, q, q, p), multi_head_attention(q, q, q, p)
     )
-    # floating dtypes are kept, so the same kernels serve the longdouble
-    # finite-difference forward; ints run in float64
+    # floating dtypes are kept; ints run in float64
     ints = rng.integers(-3, 4, size=x.shape)
     for xx, want in ((x.astype(np.longdouble), np.longdouble), (ints, np.float64)):
         t = xx.reshape(2, 9, 4)
@@ -395,6 +395,63 @@ def test_in_place_kernels_keep_bits_and_dtype(dtype):
         want = _reference_kernels(x64, g, b, p)[0]
         assert got.dtype == want.dtype == np.longdouble
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# complex input: the gradient check's complex step
+
+
+def _analytic_kernel(name, rng):
+    # a kernel the block runs, as f(*args), its float64 args and the VJP
+    # giving the gradient of <f(*args), g> w.r.t. each arg
+    x = rng.normal(size=(3, 2, 5, 4))
+    if name == "layer_norm":
+        return layer_norm, (x, rng.normal(size=4), rng.normal(size=4)), layer_norm_vjp
+    if name == "softmax":
+        return softmax, (x,), lambda g, a: (softmax_vjp(g, softmax(a)),)
+    if name == "gelu":
+        return gelu, (x,), lambda g, a: (g * gelu_grad(a),)
+    if name == "conv3d":
+        return conv3d, (x, rng.normal(size=(3, 4, 2))), conv3d_vjp
+
+    def attention(t, *w):  # self-attention, as the block runs it
+        t = t.reshape(-1, 10, 4)
+        return multi_head_attention(t, t, t, AttentionParams(2, *w)).reshape(x.shape)
+
+    def attention_vjp(g, t, *w):
+        dt, *dw = multi_head_attention_vjp(
+            g.reshape(-1, 10, 4), t.reshape(-1, 10, 4), AttentionParams(2, *w)
+        )
+        return (dt.reshape(x.shape), *dw)
+
+    return attention, (x, *(rng.normal(0.0, 0.5, (4, 4)) for _ in range(4))), attention_vjp
+
+
+ANALYTIC_KERNELS = ["layer_norm", "softmax", "gelu", "conv3d", "multi_head_attention"]
+
+
+@pytest.mark.parametrize("name", ANALYTIC_KERNELS)
+def test_kernel_on_real_valued_complex_input_is_the_float64_kernel(name):
+    f, args, _ = _analytic_kernel(name, np.random.default_rng(20))
+    out = f(*(a.astype(np.complex128) for a in args))
+    assert out.dtype == np.complex128
+    assert not out.imag.any()
+    assert np.abs(out.real - f(*args)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", ANALYTIC_KERNELS)
+def test_kernel_complex_step_matches_its_vjp(name):
+    # Im <f(args + ih v), g> / h is the derivative along v, which the VJP
+    # gives as the sum of <grad, v> over the args; an abs or a maximum in
+    # the forward would break the first
+    rng = np.random.default_rng(21)
+    f, args, vjp = _analytic_kernel(name, rng)
+    vs = [rng.normal(size=a.shape) for a in args]
+    g = rng.normal(size=f(*args).shape)
+    h = 1e-20
+    stepped = (f(*(a + 1j * h * v for a, v in zip(args, vs))).imag * g).sum() / h
+    along = sum((d * v).sum() for d, v in zip(vjp(g, *args), vs))
+    assert abs(stepped - along) <= 1e-12 * max(1.0, abs(along)), (stepped, along)
 
 
 # ---------------------------------------------------------------------------
