@@ -390,7 +390,7 @@ def test_complex_step_agrees_with_longdouble_central_differences(monkeypatch):
 @given(
     seed=st.integers(0, 2**32 - 1),
     frames=st.integers(2, 4),
-    dtype=st.sampled_from([np.float64, np.longdouble]),
+    dtype=st.sampled_from([np.float64, np.longdouble, np.complex128]),
     data=st.data(),
 )
 def test_perturbing_one_frame_leaves_other_frames_attention(seed, frames, dtype, data):
@@ -399,6 +399,8 @@ def test_perturbing_one_frame_leaves_other_frames_attention(seed, frames, dtype,
     rng = np.random.default_rng(seed)
     p = block_params(rng, 4, bottleneck=2, num_heads=2)
     x = rng.normal(size=(frames, 2, 3, 4)).astype(dtype)
+    if x.dtype.kind == "c":  # as a complex step gives it
+        x = x + 1e-3j * rng.normal(size=x.shape)
     b = data.draw(st.integers(0, frames - 1))
     i = data.draw(st.integers(0, x[b].size - 1))
     y = x.copy()

@@ -345,14 +345,20 @@ def _padded_conv3d(x, kernel):
     return out
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def _normal(rng, shape, dtype):
+    # a complex draw gets an imaginary part, as a complex step gives it
+    x = rng.normal(size=shape).astype(dtype)
+    return x + 1e-3j * rng.normal(size=shape) if x.dtype.kind == "c" else x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128])
 def test_conv3d_equals_padded_form_bit_for_bit(dtype):
     # each tap adds only its in-range slices; the padded ones it skips add zeros
     rng = np.random.default_rng(18)
     cases = [((3, 4, 4, 4), 3), ((4, 5, 3, 2), 3), ((2, 3, 3, 3), 1),
              ((1, 4, 4, 4), 3), ((2, 3, 2, 2), 5), ((8, 8, 8, 4), 3)]
     for shape, kd in cases:
-        x = rng.normal(size=shape).astype(dtype)
+        x = _normal(rng, shape, dtype)
         kern = rng.normal(size=(kd, shape[3], 3))
         out = conv3d(x, kern)
         assert out.dtype == dtype
@@ -377,11 +383,11 @@ def _reference_kernels(x, gamma, beta, p):
     return ln, sm, attn
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128])
 def test_in_place_kernels_keep_bits_and_dtype(dtype):
     rng = np.random.default_rng(19)
     p = attention_params(rng, 8, 2)
-    x = rng.normal(size=(3, 16, 8)).astype(dtype)
+    x = _normal(rng, (3, 16, 8), dtype)
     gamma, beta = rng.normal(size=8), rng.normal(size=8)
     ln, sm, attn = _reference_kernels(x, gamma, beta, p)
     for got, want in ((layer_norm(x, gamma, beta), ln), (softmax(x), sm),
@@ -389,7 +395,7 @@ def test_in_place_kernels_keep_bits_and_dtype(dtype):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
     # a longdouble affine on a float64 input widens only the affine
-    x64 = x.astype(np.float64)
+    x64 = x.real.astype(np.float64)
     for g, b in ((gamma.astype(np.longdouble), beta), (gamma, beta.astype(np.longdouble))):
         got = layer_norm(x64, g, b)
         want = _reference_kernels(x64, g, b, p)[0]
