@@ -428,7 +428,7 @@ _UPSTREAM_SEED = 0x6D5E6  # grad_check's upstream draws; its own SeedSequence
 def grad_check(
     p: BlockParams,
     x,
-    h: float = 1e-6,
+    h: float = 1e-20,
     tol: float = 1e-5,
     mutate: str | None = None,
 ) -> GradCheckReport:
@@ -453,20 +453,15 @@ def grad_check(
     so the skipped work would recompute exactly the cached values and
     every derivative is what full forwards give, bit for bit.
 
-    ``h`` must change every target element in float64, as a real step
-    would; the complex step itself needs no such floor, but far smaller
-    steps push the imaginary parts toward float64's underflow.  ``mutate``
+    The step ``i*h`` lands in the imaginary part alone, so unlike a real
+    step ``h`` may lie below an element's float64 spacing; at the default
+    1e-20 the O(h^2) truncation error is far below round-off.  ``mutate``
     names a gradient to scale by 1.1 before comparison, as a sentinel that
     the check actually detects wrong gradients.
     """
     if not (0 < h < np.inf and 0 < tol < np.inf):
         raise ValueError(f"h and tol must be finite and positive, got {h} and {tol}")
     x = np.array(x, dtype=np.float64)
-    targets: dict[str, np.ndarray] = {"x": x}
-    targets.update(block_param_arrays(p))
-    for name, arr in targets.items():
-        if not np.all(arr + h != arr - h):
-            raise ValueError(f"h={h} leaves an element of {name} unchanged in float64")
     g = np.random.default_rng(_UPSTREAM_SEED).standard_normal(x.shape)
     analytic = block_backward(x, p, g)
     if mutate is not None:

@@ -45,7 +45,7 @@ EXIT_USAGE = 2
 
 
 def _gradcheck_usage_error(args) -> str | None:
-    # the rest (bottleneck, heads, h, tol, mutate) is checked by the
+    # the rest (bottleneck, heads, tol, mutate) is checked by the
     # parameter classes and grad_check, whose ValueError exits 2
     if min(args.shape) < 1:
         return f"--shape extents must be positive, got {args.shape}"
@@ -71,7 +71,7 @@ def cmd_gradcheck(args) -> int:
         try:
             params = block_params(rng, c, bottleneck=r, num_heads=args.heads)
             x = rng.normal(size=(b, h, w, c))
-            report = grad_check(params, x, h=args.h, tol=args.tol, mutate=args.mutate)
+            report = grad_check(params, x, tol=args.tol, mutate=args.mutate)
         except ValueError as exc:
             print(f"gradcheck: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -92,7 +92,6 @@ def cmd_gradcheck(args) -> int:
         payload = {
             "trials": args.trials,
             "shape": {"B": b, "H": h, "W": w, "C": c, "r": r},
-            "h": args.h,
             "tol": args.tol,
             "mutate": args.mutate,
             "worst_max_rel_err": worst,
@@ -394,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--shape", type=int, nargs=5, default=[3, 4, 4, 8, 4],
                    metavar=("B", "H", "W", "C", "r"))
     g.add_argument("--heads", type=int, default=2)
-    g.add_argument("--h", type=float, default=1e-6,
-                   help="imaginary step added to each element in turn; it must"
-                   " also change every element as a real step in float64")
     g.add_argument("--tol", type=float, default=1e-5)
     g.add_argument("--mutate", type=str, default=None,
                    help="gradient name to perturb by +10%% (failure demo)")
@@ -443,13 +439,15 @@ def _expand_shorthands(argv: list[str]) -> tuple[list[str], list[str]]:
     shorthand into ``--set key=value`` in place, so the later of any two
     overrides of a key wins however each is spelled; any key from the
     config schema works (``--memory.capacity 0``, ``--retrieval random``).
+    No flag has a dot in its name, so a dotted one that is not in the
+    schema is rewritten too, for load_config to reject as an unknown key.
     Returns the new argv and the shorthand keys found."""
     out: list[str] = []
     keys: list[str] = []
     tokens = iter(argv)
     for tok in tokens:
         key, eq, val = tok[2:].partition("=")
-        if not tok.startswith("--") or key not in KEYS:
+        if not tok.startswith("--") or (key not in KEYS and "." not in key):
             out.append(tok)
             continue
         if not eq:

@@ -32,7 +32,6 @@ class RunConfig:
     memory: MemoryConfig = MemoryConfig()
     settings: EpisodeSettings = EpisodeSettings()
     task_count: int = 10
-    base_seed: int = 100
     seeds: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
@@ -42,7 +41,7 @@ class RunConfig:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
 
     def tasks(self):
-        return make_tasks(self.task_count, self.noise, base_seed=self.base_seed)
+        return make_tasks(self.task_count, self.noise)
 
     def flat(self) -> dict:
         """The configuration as dotted key -> value."""
@@ -56,7 +55,6 @@ class RunConfig:
 # dotted key -> (RunConfig field, field of that object or None)
 KEYS: dict[str, tuple[str, str | None]] = {
     "tasks.count": ("task_count", None),
-    "tasks.base_seed": ("base_seed", None),
     "noise.label_corrupt_prob": ("noise", "label_corrupt_prob"),
     "noise.feature_noise_sigma": ("noise", "feature_noise_sigma"),
     "noise.confidence_miscalibration": ("noise", "confidence_miscalibration"),
@@ -67,16 +65,11 @@ KEYS: dict[str, tuple[str, str | None]] = {
     "adapter.enabled": ("settings", "adapter_enabled"),
     "model.seed": ("settings", "model_seed"),
     "model.channels": ("settings", "channels"),
-    "model.blocks": ("settings", "num_blocks"),
     "model.bottleneck": ("settings", "bottleneck"),
-    "model.heads": ("settings", "num_heads"),
     "image.size": ("settings", "image_size"),
     "image.patch": ("settings", "patch_size"),
     "stream.volumes_per_task": ("settings", "volumes_per_task"),
     "stream.slices_per_volume": ("settings", "slices_per_volume"),
-    "fusion.key_gain": ("settings", "fusion_key_gain"),
-    "fusion.value_gain": ("settings", "fusion_value_gain"),
-    "fusion.out_gain": ("settings", "fusion_out_gain"),
     "report.log_retrievals": ("settings", "log_retrievals"),
     "seeds": ("seeds", None),
 }

@@ -71,20 +71,17 @@ class EpisodeSettings:
     image_size: int = 32
     patch_size: int = 4
     channels: int = 16
-    num_blocks: int = 1
     bottleneck: int = 4
-    num_heads: int = 2
     adapter_enabled: bool = True
     model_seed: int = 777
     volumes_per_task: int = 2
     slices_per_volume: int = 8
-    fusion_key_gain: float = 1.5
-    fusion_value_gain: float = 1.0
-    fusion_out_gain: float = 1.5
     log_retrievals: bool = False
 
     def __post_init__(self):
-        for name in ("volumes_per_task", "slices_per_volume"):
+        # channels and bottleneck are checked before build_model draws any
+        # weight: a zero extent divides by zero there
+        for name in ("channels", "bottleneck", "volumes_per_task", "slices_per_volume"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -107,18 +104,19 @@ class EpisodeReport:
 
 
 MODALITIES = ("ct", "mr", "us", "xray", "fundus", "derm", "echo")
+TASK_BASE_SEED = 100  # projection seed of task 0
 
 
-def make_tasks(count: int, noise: NoiseConfig, base_seed: int = 100) -> list[TaskSpec]:
+def make_tasks(count: int, noise: NoiseConfig) -> list[TaskSpec]:
     """A standard roster: alternating shape families, cycling modality tags,
-    consecutive projection seeds."""
+    consecutive projection seeds from TASK_BASE_SEED."""
     if count < 1:
         raise ValueError("need at least one task")
     return [
         TaskSpec(
             task_id=i,
             modality_tag=MODALITIES[i % len(MODALITIES)],
-            projection_seed=base_seed + i,
+            projection_seed=TASK_BASE_SEED + i,
             shape_family="ellipse" if i % 2 == 0 else "rectangle",
             noise=noise,
         )
@@ -137,42 +135,22 @@ def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
 
 
 def build_model(settings: EpisodeSettings):
-    """A run's encoder geometry, blocks and fusion; ValueError if inconsistent."""
-    if settings.num_blocks < 0:
-        raise ValueError(f"num_blocks must be non-negative, got {settings.num_blocks}")
-    # checked before any weight is drawn: a zero extent divides by zero there
-    if settings.channels < 1 or settings.bottleneck < 1:
-        raise ValueError(
-            f"channels and bottleneck must be >= 1, got {settings.channels}"
-            f" and {settings.bottleneck}"
-        )
+    """A run's encoder geometry, its one block (two heads) and fusion;
+    ValueError if inconsistent."""
     enc_cfg = EncoderConfig(
         image_size=settings.image_size,
         patch_size=settings.patch_size,
         channels=settings.channels,
         proj_seed=settings.model_seed,
     )
-    blocks = [
-        block_params(
-            np.random.default_rng(
-                np.random.SeedSequence([settings.model_seed, 0xB10C, i])
-            ),
-            settings.channels,
-            bottleneck=settings.bottleneck,
-            num_heads=settings.num_heads,
-        )
-        for i in range(settings.num_blocks)
-    ]
-    if not settings.adapter_enabled:
-        for blk in blocks:
-            blk.adapter.w_up[:] = 0.0  # exact residual: adapter branch off
-    fusion = structured_fusion_params(
+    block = block_params(
+        np.random.default_rng(np.random.SeedSequence([settings.model_seed, 0xB10C, 0])),
         settings.channels,
-        key_gain=settings.fusion_key_gain,
-        value_gain=settings.fusion_value_gain,
-        out_gain=settings.fusion_out_gain,
+        bottleneck=settings.bottleneck,
     )
-    return enc_cfg, blocks, fusion
+    if not settings.adapter_enabled:
+        block.adapter.w_up[:] = 0.0  # exact residual: adapter branch off
+    return enc_cfg, [block], structured_fusion_params(settings.channels)
 
 
 class _Runner:

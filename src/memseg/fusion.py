@@ -16,14 +16,17 @@ import numpy as np
 from .kernels import AttentionParams, ShapeError, layer_norm, multi_head_attention
 
 
-def structured_fusion_params(channels: int, key_gain: float = 1.0,
-                             value_gain: float = 1.0, out_gain: float = 1.0) -> AttentionParams:
-    """Analytic identity-based weights: queries/keys scaled by key_gain so
+# the gains of structured_fusion_params: queries/keys, values, output
+KEY_GAIN, VALUE_GAIN, OUT_GAIN = 1.5, 1.0, 1.5
+
+
+def structured_fusion_params(channels: int) -> AttentionParams:
+    """Analytic identity-based weights: queries/keys scaled by KEY_GAIN so
     positional agreement drives the attention pattern, values and output
-    scaled so the retrieved content couples to the embedding with a
-    predictable sign and magnitude."""
+    scaled by VALUE_GAIN and OUT_GAIN so the retrieved content couples to
+    the embedding with a predictable sign and magnitude."""
     eye = np.eye(channels)
-    return AttentionParams(1, key_gain * eye, key_gain * eye, value_gain * eye, out_gain * eye)
+    return AttentionParams(1, KEY_GAIN * eye, KEY_GAIN * eye, VALUE_GAIN * eye, OUT_GAIN * eye)
 
 
 def _tokens(t: np.ndarray) -> np.ndarray:

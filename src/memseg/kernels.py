@@ -39,7 +39,9 @@ def _arr(x, name: str) -> np.ndarray:
 
 def _into(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     # ``a`` as the output of an elementwise ufunc on (a, b) when that keeps
-    # the result dtype, so a float64 a with a longdouble b gets a new array
+    # the result dtype: layer_norm's affine works in place on float64 and on
+    # the complex step's complex128, and a float64 a with a complex128 b
+    # gets a new array instead of a casting error
     return a if np.result_type(a, b) == a.dtype else None
 
 

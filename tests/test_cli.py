@@ -53,17 +53,18 @@ def test_defaults_come_from_the_dataclasses():
     assert cfg.settings == EpisodeSettings()
     # the one run-specific default: label noise 0.3 and feature noise 1.0
     assert cfg.noise == replace(NoiseConfig(), label_corrupt_prob=0.3, feature_noise_sigma=1.0)
-    assert (cfg.task_count, cfg.base_seed, cfg.seeds) == (10, 100, (0, 1, 2))
+    assert (cfg.task_count, cfg.seeds) == (10, (0, 1, 2))
 
 
 def test_values_parse_by_the_type_of_their_default():
     cfg = load_config(None, {
-        "memory.use_confidence": "off", "seeds": "4 5", "fusion.key_gain": "2",
+        "memory.use_confidence": "off", "seeds": "4 5", "noise.feature_noise_sigma": "2",
         "model.seed": "9", "retrieval": "random",
     })
     assert cfg.memory.use_confidence is False
     assert cfg.seeds == (4, 5)
-    assert cfg.settings.fusion_key_gain == 2.0 and type(cfg.settings.fusion_key_gain) is float
+    sigma = cfg.noise.feature_noise_sigma
+    assert sigma == 2.0 and type(sigma) is float
     assert cfg.settings.model_seed == 9
     assert cfg.memory.retrieval == "random"
     with pytest.raises(ConfigError, match="seeds must be non-empty"):
@@ -75,6 +76,21 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text(json.dumps({"memory.capasity": 16}))
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(path)
+
+
+REMOVED_KEYS = ("fusion.key_gain", "fusion.value_gain", "fusion.out_gain",
+                "model.blocks", "model.heads", "tasks.base_seed")
+
+
+@pytest.mark.parametrize("form", ["set", "shorthand"])
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_config_keys_are_unknown(key, form, tmp_path, capsys):
+    # the fusion gains, the block count, the head count and the task base
+    # seed are constants now, so each is an unknown key however it is given
+    override = ["--set", f"{key}=1"] if form == "set" else [f"--{key}", "1"]
+    assert main(["simulate", *override, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: unknown config key {key!r}"]
 
 
 def test_config_rejects_bad_value():
@@ -270,7 +286,6 @@ def test_unrecognized_args_rejected(capsys):
         ["simulate", "--set", "noise.feature_noise_sigma=-1"],
         ["simulate", "--set", "model.heads=3"],
         ["gradcheck", "--heads", "3"],
-        ["gradcheck", "--h", "0"],
         ["gradcheck", "--mutate", "nope"],
         ["mem-export", "--capacity", "-1", "--out", "{tmp}/m.smb"],
         ["mem-import", "{tmp}/bad_magic.smb"],
@@ -296,7 +311,6 @@ def test_unrecognized_args_rejected(capsys):
         ["simulate", "--set", "noise.confidence_miscalibration=nan"],
         ["simulate", "--set", "fusion.key_gain=nan"],
         ["simulate", "--set", "noise.feature_noise_sigma=inf"],
-        ["gradcheck", "--h", "nan"],
         ["gradcheck", "--tol", "nan"],
         ["gradcheck", "--tol", "inf"],
         ["simulate", "--set", "retrieval=none"],
@@ -313,22 +327,21 @@ def test_unrecognized_args_rejected(capsys):
         ["ablate", "--workers", "0", "--out", "{tmp}/abl.csv", *TINY, "--set", "seeds=0"],
         ["ablate", "--workers", "-5", "--out", "{tmp}/abl.csv", *TINY, "--set", "seeds=0"],
         ["gradcheck", "--memory.k", "5"],
-        ["gradcheck", "--trials", "1", "--h", "1e-300"],
         ["gradcheck", "--heads", "0"],
         ["gradcheck", "--shape", "3", "4", "4", "8", "8"],
     ],
-    ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3", "gradcheck-h-0",
-         "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic",
-         "import-missing", "export-shape-0", "export-missing-dir", "gradcheck-shape-0",
+    ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3",
+         "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic", "import-missing",
+         "export-shape-0", "export-missing-dir", "gradcheck-shape-0",
          "image-size-0", "image-size-neg", "blocks-neg", "simulate-out-file",
          "ablate-out-file", "export-count-neg", "memcheck-trials-neg", "negative-seed",
          "config-is-dir", "config-not-utf8", "slices-per-volume-0", "volumes-per-task-0",
          "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
-         "key-gain-nan", "noise-sigma-inf", "gradcheck-h-nan", "gradcheck-tol-nan",
+         "key-gain-nan", "noise-sigma-inf", "gradcheck-tol-nan",
          "gradcheck-tol-inf", "retrieval-none", "import-tag-not-utf8", "import-nan-confidence",
          "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "export-huge-base",
          "gradcheck-report-missing-dir", "ablate-workers-0", "ablate-workers-neg",
-         "gradcheck-config-shorthand", "gradcheck-h-below-spacing", "gradcheck-heads-0",
+         "gradcheck-config-shorthand", "gradcheck-heads-0",
          "gradcheck-bottleneck-wide"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

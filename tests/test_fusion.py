@@ -45,7 +45,8 @@ def test_zero_output_projection_is_identity():
 
 def test_single_entry_hand_computed():
     # C=2, H=W=1: one query token, one kv token; softmax over one key is 1,
-    # so out = E + (LN(F) + PE_mem) under identity projections.
+    # so out = E + 1.5 * 1.0 * (LN(F) + PE_mem) under the production gains
+    # (output 1.5, value 1.0; the key gain does not matter).
     params = structured_fusion_params(2)
     e = np.array([0.3, -0.7]).reshape(2, 1, 1)
     pe = np.array([0.1, 0.2]).reshape(2, 1, 1)
@@ -53,7 +54,7 @@ def test_single_entry_hand_computed():
     pe_mem = np.array([0.5, -0.5]).reshape(2, 1, 1)
     out = fuse(e, pe, f[None], pe_mem[None], params)
     ln_f = layer_norm(f.reshape(1, 2)[::], np.ones(2), np.zeros(2))
-    expected = e + (ln_f.ravel() + pe_mem.ravel()).reshape(2, 1, 1)
+    expected = e + 1.5 * (ln_f.ravel() + pe_mem.ravel()).reshape(2, 1, 1)
     assert np.allclose(out, expected, atol=1e-12)
 
 
