@@ -1,5 +1,6 @@
 """Tests for the continual-learning episode runner."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,6 +37,43 @@ def test_default_episode_digests_match_reference():
     mem = MemoryConfig(capacity=640, k=4, retrieval="confidence_similarity")
     report = run_episode(tasks, mem, [0, 1], EpisodeSettings(volumes_per_task=2))
     assert [r["prediction_digest"] for r in report.per_seed] == [want["0"], want["1"]]
+
+
+# sha256 of run_episode(...).to_json() for 3 tasks at label noise 0.3,
+# feature noise 1.0 and miscalibration 0.35 (so predict draws its noise),
+# seeds [0, 1] and default settings.  cs16 fills after its first task and
+# runs confidence-gated replacement from then on.  Regenerate only with an
+# explained change, like perfbench/reference.json.
+REPORT_SHA256 = {
+    "cs640": (
+        MemoryConfig(capacity=640),
+        "15050a674e2c81ee464ab0924868e7359462ecc7bfcbd6c02d3deb88f38a8619",
+    ),
+    "random640": (
+        MemoryConfig(capacity=640, retrieval="random"),
+        "b8d867dc76838d4387469f2a801531b43b6b0fa78b822697f2672698591b0bf5",
+    ),
+    "capacity0": (
+        MemoryConfig(capacity=0),
+        "60ab53e628dd3eec072fd762a2520b5f1f3551efe988a171207b4ade881c33ec",
+    ),
+    "cs16": (
+        MemoryConfig(capacity=16),
+        "2e9421742d9d67e1e1d335fe1ce5a7c5e620c9e809c1cf410225ee01651ed95a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_full_report_bytes_match_pin(name):
+    """The whole report is pinned, not only the predictions: a wrong
+    forgetting sign, spread or event seed changes these bytes."""
+    mem, want = REPORT_SHA256[name]
+    noise = NoiseConfig(
+        label_corrupt_prob=0.3, feature_noise_sigma=1.0, confidence_miscalibration=0.35
+    )
+    report = run_episode(make_tasks(3, noise), mem, [0, 1])
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == want
 
 
 def test_report_schema_well_formed():
