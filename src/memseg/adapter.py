@@ -429,7 +429,7 @@ def grad_check(
     p: BlockParams,
     x,
     h: float = 1e-20,
-    tol: float = 1e-5,
+    tol: float = 1e-9,
     mutate: str | None = None,
 ) -> GradCheckReport:
     """Compare block_backward against complex-step derivatives of the

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -250,27 +251,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-ABLATION_CAPACITIES = (0, 16, 640)
-ABLATION_RETRIEVALS = ("random", "confidence_similarity")
+# The sweep's axes, in CSV column order.  The .meta.json lists each axis's
+# values as given here; the CSV rows run through them sorted.
+ABLATION_AXES = {
+    "capacity": (0, 16, 640),
+    "retrieval": ("random", "confidence_similarity"),
+    "adapter": ("on", "off"),
+    "confidence": ("on", "off"),
+}
 
 
 def _ablate_cell(payload):
-    cfg, capacity, retrieval, adapter_on, confidence_on = payload
-    mem = replace(cfg.memory, capacity=capacity, retrieval=retrieval,
-                  use_confidence=confidence_on)
-    settings = replace(cfg.settings, adapter_enabled=adapter_on)
+    cfg, cell = payload
+    row = dict(zip(ABLATION_AXES, cell))
+    mem = replace(cfg.memory, capacity=row["capacity"], retrieval=row["retrieval"],
+                  use_confidence=row["confidence"] == "on")
+    settings = replace(cfg.settings, adapter_enabled=row["adapter"] == "on")
     report = run_episode(cfg.tasks(), mem, cfg.seeds, settings)
-    return {
-        "capacity": capacity,
-        "retrieval": retrieval,
-        "adapter": "on" if adapter_on else "off",
-        "confidence": "on" if confidence_on else "off",
-        "seeds": len(cfg.seeds),
-        "mean_dsc": report.aggregate["mean_dsc"],
-        "std_dsc": report.aggregate["std_dsc"],
-        "mean_stream_dsc": report.aggregate["mean_stream_dsc"],
-        "mean_forgetting": report.aggregate["mean_forgetting"],
-    }
+    row["seeds"] = len(cfg.seeds)
+    for key in ("mean_dsc", "std_dsc", "mean_stream_dsc", "mean_forgetting"):
+        row[key] = report.aggregate[key]
+    return row
 
 
 def cmd_ablate(args) -> int:
@@ -278,13 +279,7 @@ def cmd_ablate(args) -> int:
         print(f"ablate: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return EXIT_USAGE
     cfg = _config_from_args(args)
-    cells = [
-        (cfg, capacity, retrieval, adapter_on, confidence_on)
-        for capacity in ABLATION_CAPACITIES
-        for retrieval in ABLATION_RETRIEVALS
-        for adapter_on in (True, False)
-        for confidence_on in (True, False)
-    ]
+    cells = [(cfg, cell) for cell in itertools.product(*map(sorted, ABLATION_AXES.values()))]
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -295,8 +290,6 @@ def cmd_ablate(args) -> int:
                 rows = list(pool.map(_ablate_cell, cells))
         else:
             rows = [_ablate_cell(c) for c in cells]
-        # order-stable output regardless of completion order
-        rows.sort(key=lambda r: (r["capacity"], r["retrieval"], r["adapter"], r["confidence"]))
         with open(out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
@@ -306,12 +299,7 @@ def cmd_ablate(args) -> int:
             json.dumps(
                 {
                     "effective_config": cfg.flat(),
-                    "axes": {
-                        "capacity": list(ABLATION_CAPACITIES),
-                        "retrieval": list(ABLATION_RETRIEVALS),
-                        "adapter": ["on", "off"],
-                        "confidence": ["on", "off"],
-                    },
+                    "axes": {axis: list(values) for axis, values in ABLATION_AXES.items()},
                 },
                 sort_keys=True,
                 indent=2,
@@ -393,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--shape", type=int, nargs=5, default=[3, 4, 4, 8, 4],
                    metavar=("B", "H", "W", "C", "r"))
     g.add_argument("--heads", type=int, default=2)
-    g.add_argument("--tol", type=float, default=1e-5)
+    g.add_argument("--tol", type=float, default=1e-9)
     g.add_argument("--mutate", type=str, default=None,
                    help="gradient name to perturb by +10%% (failure demo)")
     g.add_argument("--report", type=str, default=None, help="write a JSON report here")

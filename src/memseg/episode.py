@@ -15,6 +15,7 @@ from seeds derived with SeedSequence from the episode seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -153,140 +154,122 @@ def build_model(settings: EpisodeSettings):
     return enc_cfg, [block], structured_fusion_params(settings.channels)
 
 
-class _Runner:
-    """One seed's worth of episode state."""
+def _volume(task: TaskSpec, settings: EpisodeSettings, seed: int, volume: int,
+            eval_split: bool) -> list[Frame]:
+    """One preprocessed volume of a task's stream or of its held-out split;
+    nothing here depends on the memory."""
+    tag = 0xE7A1 if eval_split else 0x57E3
+    vol_seed = _derive_seed(seed, tag, task.task_id, volume)
+    frames = [
+        gen_frame(task, volume * settings.slices_per_volume + s, vol_seed,
+                  size=settings.image_size)
+        for s in range(settings.slices_per_volume)
+    ]
+    return preprocess_stream(frames)
 
-    def __init__(self, tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int):
-        self.tasks = tasks
-        self.mem_cfg = mem_cfg
-        self.settings = settings
-        self.seed = seed
-        self.enc_cfg, self.blocks, self.fusion = build_model(settings)
-        self.base = new_base(mem_cfg.capacity, self.enc_cfg.feature_shape)
-        self.event = 0
-        self.retrieval_log: list[dict] = []
-        self.outcomes: dict[str, int] = {}  # this task's insert outcomes, by kind
-        self.digest = hashlib.sha256()
 
-    def gen_volume(self, task: TaskSpec, volume: int, eval_split: bool) -> list[Frame]:
-        tag = 0xE7A1 if eval_split else 0x57E3
-        vol_seed = _derive_seed(self.seed, tag, task.task_id, volume)
-        frames = [
-            gen_frame(task, volume * self.settings.slices_per_volume + s, vol_seed,
-                      size=self.settings.image_size)
-            for s in range(self.settings.slices_per_volume)
-        ]
-        return preprocess_stream(frames)
+def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int) -> dict:
+    """One seed's episode.  Each volume is encoded when it is reached; each
+    frame is retrieved for, fused, predicted and inserted.  Evaluation is
+    the same step without the insert, so it leaves the memory unchanged."""
+    enc_cfg, blocks, fusion = build_model(settings)
+    base = new_base(mem_cfg.capacity, enc_cfg.feature_shape)
+    events = itertools.count(1)
+    digest = hashlib.sha256()
+    retrieval_log: list[dict] = []
 
-    def step(self, task: TaskSpec, frame: Frame, enc, tag: str, insert: bool):
-        """retrieve -> fuse -> predict -> (optionally) insert; returns the
-        frame's dice and confidence."""
+    def encoded(task, volume, eval_split):
+        frames = _volume(task, settings, seed, volume, eval_split)
+        return list(zip(frames, encode_stack(frames, blocks, enc_cfg)))
+
+    def step(task, frame, enc, tag, outcomes=None):
+        """retrieve -> fuse -> predict, then insert and count the outcome
+        unless ``outcomes`` is None; returns the frame's dice and confidence."""
         e, pe = enc
-        self.event += 1
-        event_seed = _derive_seed(self.seed, 0x5EED, self.event)
-        result = _retrieve(self.base, e, self.mem_cfg, event_seed)
-        e_cond = fuse(e, pe, result.features, result.encodings, self.fusion)
-        prompt = encode_prompt(bbox_of(frame.mask), self.settings.image_size)
+        event_seed = _derive_seed(seed, 0x5EED, next(events))
+        result = _retrieve(base, e, mem_cfg, event_seed)
+        e_cond = fuse(e, pe, result.features, result.encodings, fusion)
+        prompt = encode_prompt(bbox_of(frame.mask), settings.image_size)
         mask_hat, y_hat = predict(
             e_cond,
             prompt,
             frame,
-            self.enc_cfg,
+            enc_cfg,
             miscalibration=task.noise.confidence_miscalibration,
             rng_seed=event_seed,
         )
-        self.digest.update(mask_hat.tobytes())
-        self.digest.update(repr(y_hat).encode())
-        if self.settings.log_retrievals and result.indices:  # an empty base logs nothing
-            self.retrieval_log.append(
+        digest.update(mask_hat.tobytes())
+        digest.update(repr(y_hat).encode())
+        if settings.log_retrievals and result.indices:  # an empty base logs nothing
+            retrieval_log.append(
                 {
                     "frame": tag,
-                    "mode": self.mem_cfg.retrieval,
-                    "use_confidence": self.mem_cfg.use_confidence,
+                    "mode": mem_cfg.retrieval,
+                    "use_confidence": mem_cfg.use_confidence,
                     "indices": result.indices,
                     "scores": result.scores,
                 }
             )
-        if insert:
+        if outcomes is not None:
             entry = MemoryEntry(
-                mask_feature=mask_feature(frame.mask, self.enc_cfg),
+                mask_feature=mask_feature(frame.mask, enc_cfg),
                 positional_encoding=pe,
                 y_hat=y_hat,
                 image_embedding=e,
                 source_tag=tag,
             )
-            self.outcomes[insert_or_replace(self.base, entry).kind] += 1
+            outcomes[insert_or_replace(base, entry).kind] += 1
         return dice(mask_hat, frame.mask), y_hat
 
-    def eval_pass(self, task: TaskSpec, cached) -> float:
-        """Frozen evaluation: no inserts, memory unchanged."""
-        values = [
-            self.step(task, frame, enc, f"eval/task{task.task_id}/s{frame.slice_index}",
-                      insert=False)[0]
-            for frame, enc in cached
-        ]
-        return float(np.mean(values)) if values else 0.0
+    def evaluate(task, held_out) -> float:
+        return float(np.mean([
+            step(task, frame, enc, f"eval/task{task.task_id}/s{frame.slice_index}")[0]
+            for frame, enc in held_out
+        ]))
 
-    def run(self) -> dict:
-        settings = self.settings
-        eval_cache: dict[int, list] = {}
-        per_task: list[dict] = []
-        snapshots: list[dict] = []
-
-        for task in self.tasks:
-            self.outcomes = dict.fromkeys(("appended", "replaced", "rejected"), 0)
-            phase_dice: list[float] = []
-            phase_conf: list[float] = []
-            for v in range(settings.volumes_per_task):
-                frames = self.gen_volume(task, v, eval_split=False)
-                encs = encode_stack(frames, self.blocks, self.enc_cfg)
-                for frame, enc in zip(frames, encs):
-                    d, y = self.step(
-                        task,
-                        frame,
-                        enc,
-                        f"task{task.task_id}/v{v}/s{frame.slice_index}",
-                        insert=True,
-                    )
-                    phase_dice.append(d)
-                    phase_conf.append(y)
-            eval_frames = self.gen_volume(task, settings.volumes_per_task, eval_split=True)
-            eval_cache[task.task_id] = list(
-                zip(eval_frames, encode_stack(eval_frames, self.blocks, self.enc_cfg))
-            )
-            dsc_before = self.eval_pass(task, eval_cache[task.task_id])
-            per_task.append(
-                {
-                    "task_id": task.task_id,
-                    "modality": task.modality_tag,
-                    "stream_dsc_mean": float(np.mean(phase_dice)) if phase_dice else 0.0,
-                    "stream_dsc_std": float(np.std(phase_dice)) if phase_dice else 0.0,
-                    "stream_frames": len(phase_dice),
-                    "mean_confidence": float(np.mean(phase_conf)) if phase_conf else 0.0,
-                    "dsc_before": dsc_before,
-                }
-            )
-            snapshots.append({**asdict(stats(self.base)), **self.outcomes})
-
-        for task, row in zip(self.tasks, per_task):
-            row["dsc_after"] = self.eval_pass(task, eval_cache[task.task_id])
-            row["forgetting"] = row["dsc_before"] - row["dsc_after"]
-
-        mean_dsc = float(
-            np.mean([0.5 * (r["dsc_before"] + r["dsc_after"]) for r in per_task])
+    per_task: list[dict] = []
+    snapshots: list[dict] = []
+    held_out: list[list] = []  # per task, its encoded held-out volume
+    for task in tasks:
+        outcomes = dict.fromkeys(("appended", "replaced", "rejected"), 0)
+        phase_dice, phase_conf = zip(*(
+            step(task, frame, enc, f"task{task.task_id}/v{v}/s{frame.slice_index}", outcomes)
+            for v in range(settings.volumes_per_task)
+            for frame, enc in encoded(task, v, eval_split=False)
+        ))
+        held_out.append(encoded(task, settings.volumes_per_task, eval_split=True))
+        per_task.append(
+            {
+                "task_id": task.task_id,
+                "modality": task.modality_tag,
+                "stream_dsc_mean": float(np.mean(phase_dice)),
+                "stream_dsc_std": float(np.std(phase_dice)),
+                "stream_frames": len(phase_dice),
+                "mean_confidence": float(np.mean(phase_conf)),
+                "dsc_before": evaluate(task, held_out[-1]),
+            }
         )
-        out = {
-            "seed": self.seed,
-            "per_task": per_task,
-            "memory_snapshots": snapshots,
-            "mean_dsc": mean_dsc,
-            "mean_stream_dsc": float(np.mean([r["stream_dsc_mean"] for r in per_task])),
-            "mean_forgetting": float(np.mean([r["forgetting"] for r in per_task])),
-            "prediction_digest": self.digest.hexdigest(),
-        }
-        if settings.log_retrievals:
-            out["retrieval_log"] = self.retrieval_log
-        return out
+        snapshots.append({**asdict(stats(base)), **outcomes})
+
+    for task, row, volume in zip(tasks, per_task, held_out):
+        row["dsc_after"] = evaluate(task, volume)
+        row["forgetting"] = row["dsc_before"] - row["dsc_after"]
+
+    mean_dsc = float(
+        np.mean([0.5 * (r["dsc_before"] + r["dsc_after"]) for r in per_task])
+    )
+    out = {
+        "seed": seed,
+        "per_task": per_task,
+        "memory_snapshots": snapshots,
+        "mean_dsc": mean_dsc,
+        "mean_stream_dsc": float(np.mean([r["stream_dsc_mean"] for r in per_task])),
+        "mean_forgetting": float(np.mean([r["forgetting"] for r in per_task])),
+        "prediction_digest": digest.hexdigest(),
+    }
+    if settings.log_retrievals:
+        out["retrieval_log"] = retrieval_log
+    return out
 
 
 def run_episode(
@@ -300,7 +283,7 @@ def run_episode(
         raise ValueError("need at least one task")
     if not seeds:
         raise ValueError("need at least one seed")
-    per_seed = [_Runner(tasks, mem_cfg, settings, int(s)).run() for s in seeds]
+    per_seed = [_run_seed(tasks, mem_cfg, settings, int(s)) for s in seeds]
     dscs = [r["mean_dsc"] for r in per_seed]
     aggregate = {
         "mean_dsc": float(np.mean(dscs)),

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and run configuration."""
 
 import hashlib
+import inspect
 import json
 import math
 import struct
@@ -9,6 +10,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from memseg.adapter import grad_check
 from memseg.cli import main
 from memseg.config import KEYS, ConfigError, RunConfig, load_config, parse_override_pairs
 from memseg.episode import EpisodeSettings, MemoryConfig
@@ -148,6 +150,8 @@ def test_gradcheck_mutation_fails_with_exit_1(tmp_path, capsys):
     assert rc == 1
     payload = json.loads(report.read_text())
     assert payload["results"][0]["failing"] == ["adapter.w_up"]
+    # the default tolerance is A3's, in the command and in the library
+    assert payload["tol"] == inspect.signature(grad_check).parameters["tol"].default == 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -77,21 +77,32 @@ def test_full_report_bytes_match_pin(name):
 
 
 def test_report_schema_well_formed():
-    tasks = quick_tasks(1)
+    # two tasks, so the first task's forgetting is measured across a later
+    # task's inserts and its sign shows
+    tasks = quick_tasks(2, corrupt=0.3)
     for retrieval in ("random", "confidence_similarity"):
-        report = run_episode(tasks, MemoryConfig(retrieval=retrieval), [0], FAST)
-        assert len(report.per_seed) == 1
-        row = report.per_seed[0]
-        assert 0.0 <= row["mean_dsc"] <= 1.0
-        for task_row in row["per_task"]:
-            assert 0.0 <= task_row["stream_dsc_mean"] <= 1.0
-            assert 0.0 <= task_row["dsc_before"] <= 1.0
-            assert 0.0 <= task_row["dsc_after"] <= 1.0
-            assert task_row["forgetting"] == pytest.approx(
-                task_row["dsc_before"] - task_row["dsc_after"]
+        report = run_episode(tasks, MemoryConfig(retrieval=retrieval), [0, 1], FAST)
+        assert len(report.per_seed) == 2
+        for row in report.per_seed:
+            per_task = row["per_task"]
+            assert 0.0 <= row["mean_dsc"] <= 1.0
+            for task_row in per_task:
+                assert 0.0 <= task_row["stream_dsc_mean"] <= 1.0
+                assert 0.0 <= task_row["dsc_before"] <= 1.0
+                assert 0.0 <= task_row["dsc_after"] <= 1.0
+                assert task_row["forgetting"] == task_row["dsc_before"] - task_row["dsc_after"]
+            (b0, a0, s0, f0), (b1, a1, s1, f1) = (
+                (r["dsc_before"], r["dsc_after"], r["stream_dsc_mean"], r["forgetting"])
+                for r in per_task
             )
-        assert len(row["memory_snapshots"]) == len(tasks)
-        assert "mean_dsc" in report.aggregate
+            assert row["mean_dsc"] == pytest.approx((b0 + a0 + b1 + a1) / 4, rel=1e-12)
+            assert row["mean_stream_dsc"] == pytest.approx((s0 + s1) / 2, rel=1e-12)
+            assert row["mean_forgetting"] == pytest.approx((f0 + f1) / 2, rel=1e-12, abs=1e-15)
+            assert len(row["memory_snapshots"]) == len(tasks)
+        assert any(r["forgetting"] != 0.0 for row in report.per_seed for r in row["per_task"])
+        seed_dsc = [row["mean_dsc"] for row in report.per_seed]
+        assert report.aggregate["mean_dsc"] == pytest.approx(np.mean(seed_dsc), rel=1e-12)
+        assert report.aggregate["std_dsc"] == pytest.approx(np.std(seed_dsc), rel=1e-12)
         assert report.config["memory"]["retrieval"] == retrieval
         # the task echo the README's report schema documents
         assert len(report.config["tasks"]) == len(tasks)
