@@ -222,30 +222,35 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
         return dice(mask_hat, frame.mask), y_hat
 
     def evaluate(task, held_out) -> float:
-        return float(np.mean([
+        values = [
             step(task, frame, enc, f"eval/task{task.task_id}/s{frame.slice_index}")[0]
             for frame, enc in held_out
-        ]))
+        ]
+        return float(np.mean(values)) if values else 0.0
 
     per_task: list[dict] = []
     snapshots: list[dict] = []
     held_out: list[list] = []  # per task, its encoded held-out volume
     for task in tasks:
         outcomes = dict.fromkeys(("appended", "replaced", "rejected"), 0)
-        phase_dice, phase_conf = zip(*(
+        streamed = [
             step(task, frame, enc, f"task{task.task_id}/v{v}/s{frame.slice_index}", outcomes)
             for v in range(settings.volumes_per_task)
             for frame, enc in encoded(task, v, eval_split=False)
-        ))
+        ]
+        # preprocessing can drop every frame of a small volume: an empty
+        # stream or held-out volume reports 0.0
+        phase_dice = [d for d, _ in streamed]
+        phase_conf = [y for _, y in streamed]
         held_out.append(encoded(task, settings.volumes_per_task, eval_split=True))
         per_task.append(
             {
                 "task_id": task.task_id,
                 "modality": task.modality_tag,
-                "stream_dsc_mean": float(np.mean(phase_dice)),
-                "stream_dsc_std": float(np.std(phase_dice)),
+                "stream_dsc_mean": float(np.mean(phase_dice)) if phase_dice else 0.0,
+                "stream_dsc_std": float(np.std(phase_dice)) if phase_dice else 0.0,
                 "stream_frames": len(phase_dice),
-                "mean_confidence": float(np.mean(phase_conf)),
+                "mean_confidence": float(np.mean(phase_conf)) if phase_conf else 0.0,
                 "dsc_before": evaluate(task, held_out[-1]),
             }
         )

@@ -115,6 +115,22 @@ def test_report_schema_well_formed():
             }
 
 
+def test_emptied_volumes_report_zero():
+    """At image size 4 preprocessing can drop every frame of a one-slice
+    volume.  Seed 8 empties task 0's stream and both held-out volumes; each
+    empty mean reports 0.0, not NaN or an error."""
+    settings = EpisodeSettings(image_size=4, patch_size=2, channels=4, bottleneck=2,
+                               volumes_per_task=1, slices_per_volume=1)
+    tasks = make_tasks(2, NoiseConfig(label_corrupt_prob=0.5, feature_noise_sigma=1.0))
+    row = run_episode(tasks, MemoryConfig(capacity=4), [8], settings).per_seed[0]
+    first, second = row["per_task"]
+    assert first["stream_frames"] == 0 and second["stream_frames"] == 1
+    assert first["stream_dsc_mean"] == first["stream_dsc_std"] == 0.0
+    assert first["mean_confidence"] == 0.0
+    for task_row in (first, second):
+        assert task_row["dsc_before"] == task_row["dsc_after"] == 0.0
+
+
 def test_digest_ignores_memory_knobs_that_are_never_read():
     """A capacity-0 base is always empty, so neither the retrieval mode nor
     the confidence term can reach the predictions; random retrieval never
