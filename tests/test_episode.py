@@ -39,41 +39,67 @@ def test_default_episode_digests_match_reference():
     assert [r["prediction_digest"] for r in report.per_seed] == [want["0"], want["1"]]
 
 
-# sha256 of run_episode(...).to_json() for 3 tasks at label noise 0.3,
-# feature noise 1.0 and miscalibration 0.35 (so predict draws its noise),
-# seeds [0, 1] and default settings.  cs16 fills after its first task and
-# runs confidence-gated replacement from then on.  Regenerate only with an
-# explained change, like perfbench/reference.json.
+def test_saturated_episode_digest_matches_reference():
+    """Seed 0 of the same episode at 10 volumes per task: 800 inserts into
+    capacity 640, so confidence-gated replacement runs beside retrieval."""
+    want = json.loads(REFERENCE.read_text())["episode_saturated"]
+    tasks = make_tasks(10, NoiseConfig(label_corrupt_prob=0.3, feature_noise_sigma=1.0))
+    mem = MemoryConfig(capacity=640, k=4, retrieval="confidence_similarity")
+    report = run_episode(tasks, mem, [0], EpisodeSettings(volumes_per_task=10))
+    assert report.per_seed[0]["prediction_digest"] == want["0"]
+
+
+# sha256 of run_episode(...).to_json() for 3 tasks at label noise 0.3 and
+# feature noise 1.0, seeds [0, 1] and default settings, at miscalibration
+# 0.35 (so predict draws its noise) except where the name says 0.  cs16
+# fills after its first task and runs confidence-gated replacement from
+# then on.  Regenerate only with an explained change, like
+# perfbench/reference.json.
 REPORT_SHA256 = {
     "cs640": (
         MemoryConfig(capacity=640),
+        0.35,
         "15050a674e2c81ee464ab0924868e7359462ecc7bfcbd6c02d3deb88f38a8619",
+    ),
+    "cs640-miscalibration0": (
+        MemoryConfig(capacity=640),
+        0.0,
+        "42c71acbe7a220317f8067ec4f8d781072f2399bfccba6cf85b75c20dd426b8c",
     ),
     "random640": (
         MemoryConfig(capacity=640, retrieval="random"),
+        0.35,
         "b8d867dc76838d4387469f2a801531b43b6b0fa78b822697f2672698591b0bf5",
     ),
     "capacity0": (
         MemoryConfig(capacity=0),
+        0.35,
         "60ab53e628dd3eec072fd762a2520b5f1f3551efe988a171207b4ade881c33ec",
     ),
     "cs16": (
         MemoryConfig(capacity=16),
+        0.35,
         "2e9421742d9d67e1e1d335fe1ce5a7c5e620c9e809c1cf410225ee01651ed95a",
     ),
 }
+
+
+def pinned_report(name):
+    mem, miscalibration, _ = REPORT_SHA256[name]
+    noise = NoiseConfig(
+        label_corrupt_prob=0.3,
+        feature_noise_sigma=1.0,
+        confidence_miscalibration=miscalibration,
+    )
+    return run_episode(make_tasks(3, noise), mem, [0, 1])
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
 def test_full_report_bytes_match_pin(name):
     """The whole report is pinned, not only the predictions: a wrong
     forgetting sign, spread or event seed changes these bytes."""
-    mem, want = REPORT_SHA256[name]
-    noise = NoiseConfig(
-        label_corrupt_prob=0.3, feature_noise_sigma=1.0, confidence_miscalibration=0.35
-    )
-    report = run_episode(make_tasks(3, noise), mem, [0, 1])
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == want
+    want = REPORT_SHA256[name][2]
+    assert hashlib.sha256(pinned_report(name).to_json().encode()).hexdigest() == want
 
 
 def test_report_schema_well_formed():
