@@ -179,17 +179,25 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     retrieval_log: list[dict] = []
 
     def encoded(task, volume, eval_split):
+        """(frame, (E, PE), box prompt) per frame of one volume; a held-out
+        volume's prompts serve both of its evaluations."""
         frames = _volume(task, settings, seed, volume, eval_split)
-        return list(zip(frames, encode_stack(frames, blocks, enc_cfg)))
+        return [
+            (frame, enc, encode_prompt(bbox_of(frame.mask), settings.image_size))
+            for frame, enc in zip(frames, encode_stack(frames, blocks, enc_cfg))
+        ]
 
-    def step(task, frame, enc, tag, outcomes=None):
+    def step(task, frame, enc, prompt, tag, outcomes=None):
         """retrieve -> fuse -> predict, then insert and count the outcome
         unless ``outcomes`` is None; returns the frame's dice and confidence."""
         e, pe = enc
-        event_seed = _derive_seed(seed, 0x5EED, next(events))
+        event = next(events)
+        # every step takes an event number, but only random retrieval and
+        # predict's miscalibration draw read its seed
+        reads_seed = mem_cfg.retrieval == "random" or task.noise.confidence_miscalibration > 0
+        event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
         result = _retrieve(base, e, mem_cfg, event_seed)
         e_cond = fuse(e, pe, result.features, result.encodings, fusion)
-        prompt = encode_prompt(bbox_of(frame.mask), settings.image_size)
         mask_hat, y_hat = predict(
             e_cond,
             prompt,
@@ -223,8 +231,8 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
 
     def evaluate(task, held_out) -> float:
         values = [
-            step(task, frame, enc, f"eval/task{task.task_id}/s{frame.slice_index}")[0]
-            for frame, enc in held_out
+            step(task, frame, enc, prompt, f"eval/task{task.task_id}/s{frame.slice_index}")[0]
+            for frame, enc, prompt in held_out
         ]
         return float(np.mean(values)) if values else 0.0
 
@@ -234,9 +242,10 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     for task in tasks:
         outcomes = dict.fromkeys(("appended", "replaced", "rejected"), 0)
         streamed = [
-            step(task, frame, enc, f"task{task.task_id}/v{v}/s{frame.slice_index}", outcomes)
+            step(task, frame, enc, prompt, f"task{task.task_id}/v{v}/s{frame.slice_index}",
+                 outcomes)
             for v in range(settings.volumes_per_task)
-            for frame, enc in encoded(task, v, eval_split=False)
+            for frame, enc, prompt in encoded(task, v, eval_split=False)
         ]
         # preprocessing can drop every frame of a small volume: an empty
         # stream or held-out volume reports 0.0

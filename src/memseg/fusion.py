@@ -7,13 +7,26 @@ retrieved entries of LN(F_i) + PE_i tokens.  Positional encodings are
 added (not concatenated) so the model dim stays C.  The output is the
 residual sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns
 E_new unchanged.
+
+Params with one head and every projection a gain times the identity, as
+structured_fusion_params' are, take a scalar path: each identity matmul is
+an exact scalar multiply, so the path skips them (and a unit value gain)
+and gives the same bits as the general multi-head attention.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .kernels import AttentionParams, ShapeError, layer_norm, multi_head_attention
+from .kernels import (
+    AttentionParams,
+    ShapeError,
+    layer_norm,
+    multi_head_attention,
+    softmax,
+)
 
 
 # the gains of structured_fusion_params: queries/keys, values, output
@@ -34,6 +47,21 @@ def _tokens(t: np.ndarray) -> np.ndarray:
     return t.transpose(*range(t.ndim - 3), -2, -1, -3).reshape(-1, t.shape[-3])
 
 
+def _scaled_identity_attention(q, kv, gains) -> np.ndarray:
+    """multi_head_attention(q, kv, kv) for one head whose projections are
+    gains[i] times the identity.  The operands are C-ordered like the
+    general path's matmul outputs, so BLAS rounds both paths alike."""
+    if not (np.isfinite(q).all() and np.isfinite(kv).all()):
+        raise ValueError("fusion queries or keys contain non-finite values")
+    g_q, g_k, g_v, g_o = gains
+    scores = np.multiply(q, g_q, order="C") @ np.multiply(kv, g_k, order="C").T
+    scores /= math.sqrt(q.shape[-1])
+    values = np.ascontiguousarray(kv) if g_v == 1.0 else np.multiply(kv, g_v, order="C")
+    out = softmax(scores) @ values
+    out *= g_o
+    return out
+
+
 def fuse(
     embedding_new: np.ndarray,
     pe_new: np.ndarray,
@@ -46,7 +74,8 @@ def fuse(
 
     Returns a tensor of the same (C, H, W) shape.  With k = 0 the input is
     returned unchanged (bitwise), which is also the behaviour of a
-    capacity-0 memory.  Both layer norms use the unit affine.
+    capacity-0 memory.  Both layer norms use the unit affine.  Non-finite
+    inputs, or scores that overflow, raise ValueError.
     """
     e = np.asarray(embedding_new, dtype=np.float64)
     pe = np.asarray(pe_new, dtype=np.float64)
@@ -70,12 +99,15 @@ def fuse(
     if not len(feats):
         return e.copy()
 
-    ones, zeros = np.ones(c), np.zeros(c)
     # one layer norm over all entries' tokens; rows stay in entry order
-    kv = layer_norm(_tokens(feats), ones, zeros)
+    kv = layer_norm(_tokens(feats))
     kv += _tokens(mem_pes)
 
     tokens = _tokens(e)
-    q = layer_norm(tokens, ones, zeros) + _tokens(pe)
-    tokens = tokens + multi_head_attention(q, kv, kv, attn)
+    q = layer_norm(tokens) + _tokens(pe)
+    gains = attn.identity_gains
+    if gains is None:
+        tokens = tokens + multi_head_attention(q, kv, kv, attn)
+    else:
+        tokens = tokens + _scaled_identity_attention(q, kv, gains)
     return tokens.reshape(h, w, c).transpose(2, 0, 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,18 @@ class AttentionParams:
     def head_dim(self) -> int:
         return self.model_dim // self.num_heads
 
+    @cached_property
+    def identity_gains(self) -> tuple | None:
+        """(q, k, v, o) gains when there is one head and every projection
+        is its gain times the identity, else None.  Read on first use, so
+        weights changed in place afterwards are not seen."""
+        mats = (self.w_q, self.w_k, self.w_v, self.w_o)
+        gains = tuple(w[0, 0].item() for w in mats)
+        eye = np.eye(self.model_dim)
+        if self.num_heads == 1 and all(np.array_equal(w, g * eye) for w, g in zip(mats, gains)):
+            return gains
+        return None
+
 
 def attention_params(
     rng: np.random.Generator, model_dim: int, num_heads: int, scale: float | None = None
@@ -94,24 +107,30 @@ def attention_params(
 # normalization
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> np.ndarray:
+def layer_norm(x, gamma=None, beta=None, eps: float = 1e-6) -> np.ndarray:
     """Normalize over the last axis to zero mean / unit variance, then apply
-    the affine (gamma, beta)."""
-    x, gamma, beta = _arr(x, "x"), _arr(gamma, "gamma"), _arr(beta, "beta")
+    the affine (gamma, beta); without them the unit affine, an exact no-op,
+    is skipped."""
+    x = _arr(x, "x")
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(
-            f"gamma/beta shapes {tuple(gamma.shape)}/{tuple(beta.shape)} do not"
-            f" match last axis of x {tuple(x.shape)}"
-        )
+    affine = gamma is not None or beta is not None
+    if affine:
+        gamma, beta = _arr(gamma, "gamma"), _arr(beta, "beta")
+        if gamma.shape != (d,) or beta.shape != (d,):
+            raise ShapeError(
+                f"gamma/beta shapes {tuple(gamma.shape)}/{tuple(beta.shape)} do not"
+                f" match last axis of x {tuple(x.shape)}"
+            )
     # add.reduce / d is mean's arithmetic; each temporary is reused in place
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
     var /= d
     var += eps
     xc /= np.sqrt(var, out=var)
+    if not affine:
+        return xc
     out = np.multiply(xc, gamma, out=_into(xc, gamma))
     return np.add(out, beta, out=_into(out, beta))
 

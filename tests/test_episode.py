@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memseg import episode
 from memseg.episode import (
     EpisodeSettings,
     MemoryConfig,
@@ -100,6 +101,36 @@ def test_full_report_bytes_match_pin(name):
     forgetting sign, spread or event seed changes these bytes."""
     want = REPORT_SHA256[name][2]
     assert hashlib.sha256(pinned_report(name).to_json().encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "retrieval, miscalibration, per_step",
+    [
+        ("confidence_similarity", 0.0, 0),
+        ("random", 0.0, 1),
+        ("confidence_similarity", 0.35, 1),
+        ("random", 0.35, 1),
+    ],
+)
+def test_event_seeds_derived_only_where_read(monkeypatch, retrieval, miscalibration, per_step):
+    """Each volume derives its seed; a step derives its event seed only
+    when random retrieval or predict's miscalibration draw reads it, and
+    the event number advances on every step either way."""
+    parts, predicts = [], []
+    derive, predict_ = episode._derive_seed, episode.predict
+    monkeypatch.setattr(episode, "_derive_seed", lambda *p: parts.append(p) or derive(*p))
+    monkeypatch.setattr(
+        episode, "predict", lambda *a, **kw: predicts.append(1) or predict_(*a, **kw)
+    )
+    noise = NoiseConfig(
+        label_corrupt_prob=0.3, feature_noise_sigma=1.0, confidence_miscalibration=miscalibration
+    )
+    tasks = make_tasks(2, noise)
+    run_episode(tasks, MemoryConfig(retrieval=retrieval), [0], FAST)
+    volume_tags = [p[1] for p in parts if p[1] != 0x5EED]
+    events = [p[2] for p in parts if p[1] == 0x5EED]
+    assert len(volume_tags) == len(tasks) * (FAST.volumes_per_task + 1)
+    assert events == list(range(1, len(predicts) + 1)) * per_step
 
 
 def test_report_schema_well_formed():

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from memseg.fusion import fuse, structured_fusion_params
+from memseg import fusion
+from memseg.fusion import KEY_GAIN, OUT_GAIN, VALUE_GAIN, fuse, structured_fusion_params
 from memseg.kernels import (
     AttentionParams,
     ShapeError,
@@ -210,7 +211,8 @@ def fusion_params(kind):
 @pytest.mark.parametrize("where", ["e", "pe", "features", "encodings"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_raises(kind, where, bad):
-    args = dict(zip(("e", "pe", "features", "encodings"), draw(np.random.default_rng(7), SHAPE, 2)))
+    names = ("e", "pe", "features", "encodings")
+    args = dict(zip(names, draw(np.random.default_rng(7), SHAPE, 2)))
     args[where][(0,) * args[where].ndim] = bad
     with pytest.raises(ValueError):
         fuse(args["e"], args["pe"], args["features"], args["encodings"], fusion_params(kind))
@@ -223,3 +225,30 @@ def test_overflowing_scores_raise(kind):
     e, pe, feats, encs = draw(np.random.default_rng(8), SHAPE, 2)
     with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
         fuse(e, np.full(SHAPE, 1e200), feats, np.full(feats.shape, 1e200), fusion_params(kind))
+
+
+def test_scalar_path_is_chosen_by_the_params(monkeypatch):
+    """One head and scaled-identity projections select the scalar path,
+    which never calls multi_head_attention; anything else does not."""
+    eye = np.eye(C)
+    assert structured_fusion_params(C).identity_gains == (KEY_GAIN, KEY_GAIN, VALUE_GAIN, OUT_GAIN)
+    assert AttentionParams(2, eye, eye, eye, eye).identity_gains is None
+    off_diagonal = eye.copy()
+    off_diagonal[0, 1] = 1e-300
+    assert AttentionParams(1, eye, eye, off_diagonal, eye).identity_gains is None
+    assert random_params(1, heads=1).identity_gains is None
+
+    def general(*args):
+        raise AssertionError("general path taken")
+
+    monkeypatch.setattr(fusion, "multi_head_attention", general)
+    fuse(*draw(np.random.default_rng(9), SHAPE, 3), structured_fusion_params(C))
+
+
+def test_scalar_path_with_other_gains_equals_general_body_bitwise():
+    eye = np.eye(C)
+    params = AttentionParams(1, 2.0 * eye, 0.5 * eye, 3.0 * eye, -1.25 * eye)
+    rng = np.random.default_rng(10)
+    for k in range(4):
+        args = draw(rng, SHAPE, k)
+        assert np.array_equal(fuse(*args, params), fuse_reference(*args, params))

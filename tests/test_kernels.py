@@ -52,6 +52,16 @@ def test_layer_norm_shape_mismatch_names_shapes():
     assert "(4,)" in str(exc.value) and "(2, 3)" in str(exc.value)
 
 
+def test_layer_norm_without_affine_equals_unit_affine_bitwise():
+    rng = np.random.default_rng(8)
+    # a C-ordered batch and the Fortran-ordered token view fuse normalizes
+    for x in (rng.normal(3.0, 5.0, (6, 16)), rng.normal(size=(16, 64)).T):
+        unit = layer_norm(x, np.ones(16), np.zeros(16))
+        assert np.array_equal(layer_norm(x), unit)
+    with pytest.raises(ValueError):
+        layer_norm(np.array([1.0, np.nan]))
+
+
 def test_layer_norm_normalizes_before_affine():
     rng = np.random.default_rng(7)
     x = rng.normal(3.0, 5.0, (6, 16))
