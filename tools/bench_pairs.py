@@ -10,9 +10,12 @@ runs ``perfbench/run.py --trace 0`` once per side at BENCHMARK.json's
 in even pairs and the head in odd ones, so a drift in machine load hits
 both sides alike.  For each workload and end-to-end metric the file holds
 both sides' median and quartiles (inclusive method), the pairs the head
-won, the ratio of medians and whether their difference exceeds the base's
-interquartile distance.  It also holds every run's values and failure
-count, the seed-0 episode digests, both git shas and the machine.
+won, the ratio of medians, whether their difference exceeds the base's
+interquartile distance, and ``claim_rule_met``: the head won at least
+0.9 x pairs and its median is better than the base's by more than the
+base's interquartile distance.  It also holds every run's values and
+failure count, the seed-0 episode digests, both git shas and the machine,
+and one summary line per workload is printed.
 """
 
 from __future__ import annotations
@@ -78,17 +81,30 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         base = [r["metrics"][name] for r in runs["base"]]
         head = [r["metrics"][name] for r in runs["head"]]
         b, h = spread(base), spread(head)
+        wins = sum((hv > bv) if higher else (hv < bv) for bv, hv in zip(base, head))
+        gain = (h["median"] - b["median"]) * (1 if higher else -1)
+        iqr = b["q3"] - b["q1"]
         metrics[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "bound": m["bound"],
             "base": b,
             "head": h,
-            "head_wins": sum((hv > bv) if higher else (hv < bv) for bv, hv in zip(base, head)),
+            "head_wins": wins,
             "head_over_base": h["median"] / b["median"],
-            "exceeds_base_iqr": abs(h["median"] - b["median"]) > b["q3"] - b["q1"],
+            "exceeds_base_iqr": abs(h["median"] - b["median"]) > iqr,
+            "claim_rule_met": wins >= 0.9 * len(base) and gain > iqr,
         }
     return metrics
+
+
+def summary_line(workload: str, metrics: dict, pairs: int) -> str:
+    return f"{workload}: " + "; ".join(
+        f"{name} {m['base']['median']:.4g} -> {m['head']['median']:.4g}"
+        f" (x{m['head_over_base']:.3f}, head wins {m['head_wins']}/{pairs},"
+        f" claim {'met' if m['claim_rule_met'] else 'not met'})"
+        for name, m in metrics.items()
+    )
 
 
 def main(argv=None) -> int:
@@ -130,6 +146,8 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side} seed {seed}: "
                           + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
                           + f", failed {run['failed']}", flush=True)
+            metrics = summarize(runs, spec)
+            print(summary_line(workload, metrics, args.pairs), flush=True)
             env = runs["base"][0]["env"]
             out["machine"] = {k: env[k] for k in ("nproc", "python", "numpy", "blas")}
             out["workloads"][workload] = {
@@ -140,7 +158,7 @@ def main(argv=None) -> int:
                     side: {s: d for r in rs if r["seed"] == 0 for s, d in r["digests"].items()}
                     for side, rs in runs.items()
                 },
-                "metrics": summarize(runs, spec),
+                "metrics": metrics,
                 "runs": {side: [{k: r[k] for k in ("seed", "failed", "metrics")} for r in rs]
                          for side, rs in runs.items()},
             }
