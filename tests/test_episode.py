@@ -85,22 +85,16 @@ REPORT_SHA256 = {
 }
 
 
-def pinned_report(name):
-    mem, miscalibration, _ = REPORT_SHA256[name]
-    noise = NoiseConfig(
-        label_corrupt_prob=0.3,
-        feature_noise_sigma=1.0,
-        confidence_miscalibration=miscalibration,
-    )
-    return run_episode(make_tasks(3, noise), mem, [0, 1])
-
-
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
 def test_full_report_bytes_match_pin(name):
     """The whole report is pinned, not only the predictions: a wrong
     forgetting sign, spread or event seed changes these bytes."""
-    want = REPORT_SHA256[name][2]
-    assert hashlib.sha256(pinned_report(name).to_json().encode()).hexdigest() == want
+    mem, miscalibration, want = REPORT_SHA256[name]
+    noise = NoiseConfig(
+        label_corrupt_prob=0.3, feature_noise_sigma=1.0, confidence_miscalibration=miscalibration
+    )
+    report = run_episode(make_tasks(3, noise), mem, [0, 1])
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize(
