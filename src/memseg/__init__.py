@@ -11,7 +11,7 @@ from .adapter import (
     block_params,
     grad_check,
 )
-from .fusion import fuse, structured_fusion_params
+from .fusion import fuse
 from .kernels import (
     AttentionParams,
     ShapeError,

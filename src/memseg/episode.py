@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapter import block_params
-from .fusion import fuse, structured_fusion_params
+from .fusion import fuse
 from .memory import (
     MemoryBase,
     MemoryEntry,
@@ -136,8 +136,8 @@ def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
 
 
 def build_model(settings: EpisodeSettings):
-    """A run's encoder geometry, its one block (two heads) and fusion;
-    ValueError if inconsistent."""
+    """A run's encoder geometry and its one block (two heads); ValueError
+    if inconsistent."""
     enc_cfg = EncoderConfig(
         image_size=settings.image_size,
         patch_size=settings.patch_size,
@@ -151,7 +151,7 @@ def build_model(settings: EpisodeSettings):
     )
     if not settings.adapter_enabled:
         block.adapter.w_up[:] = 0.0  # exact residual: adapter branch off
-    return enc_cfg, [block], structured_fusion_params(settings.channels)
+    return enc_cfg, [block]
 
 
 def _volume(task: TaskSpec, settings: EpisodeSettings, seed: int, volume: int,
@@ -172,7 +172,7 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     """One seed's episode.  Each volume is encoded when it is reached; each
     frame is retrieved for, fused, predicted and inserted.  Evaluation is
     the same step without the insert, so it leaves the memory unchanged."""
-    enc_cfg, blocks, fusion = build_model(settings)
+    enc_cfg, blocks = build_model(settings)
     base = new_base(mem_cfg.capacity, enc_cfg.feature_shape)
     events = itertools.count(1)
     digest = hashlib.sha256()
@@ -197,7 +197,7 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
         reads_seed = mem_cfg.retrieval == "random" or task.noise.confidence_miscalibration > 0
         event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
         result = _retrieve(base, e, mem_cfg, event_seed)
-        e_cond = fuse(e, pe, result.features, result.encodings, fusion)
+        e_cond = fuse(e, pe, result.features, result.encodings)
         mask_hat, y_hat = predict(
             e_cond,
             prompt,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,18 +78,6 @@ class AttentionParams:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.num_heads
-
-    @cached_property
-    def identity_gains(self) -> tuple | None:
-        """(q, k, v, o) gains when there is one head and every projection
-        is its gain times the identity, else None.  Read on first use, so
-        weights changed in place afterwards are not seen."""
-        mats = (self.w_q, self.w_k, self.w_v, self.w_o)
-        gains = tuple(w[0, 0].item() for w in mats)
-        eye = np.eye(self.model_dim)
-        if self.num_heads == 1 and all(np.array_equal(w, g * eye) for w, g in zip(mats, gains)):
-            return gains
-        return None
 
 
 def attention_params(

@@ -14,7 +14,7 @@ from memseg.adapter import block_params, grad_check
 from memseg.cli import main, oracle_topk
 from memseg.episode import EpisodeSettings, MemoryConfig, make_tasks, run_episode
 from memseg.fusion import fuse
-from memseg.kernels import attention_params, softmax
+from memseg.kernels import softmax
 from memseg.memory import (
     BadMagicError,
     MemoryEntry,
@@ -143,13 +143,13 @@ def test_a4_fusion_identities():
         c = int(rng.integers(2, 9))
         h = int(rng.integers(1, 4))
         w = int(rng.integers(1, 4))
-        heads = 1 if c % 2 else 2
-        params = attention_params(np.random.default_rng(int(rng.integers(1 << 30))), c, heads)
+        # a draw no longer used; taking it keeps the 100 instances as they were
+        rng.integers(1 << 30)
         e = rng.normal(size=(c, h, w))
         pe = rng.normal(size=(c, h, w))
         # empty memory returns the input bitwise
         none = np.empty((0, c, h, w))
-        assert np.array_equal(fuse(e, pe, none, none, params), e)
+        assert np.array_equal(fuse(e, pe, none, none), e)
         # permutation invariance within 1e-12
         retrieved = [
             (rng.normal(size=(c, h, w)), rng.normal(size=(c, h, w)))
@@ -157,8 +157,8 @@ def test_a4_fusion_identities():
         ]
         perm = rng.permutation(len(retrieved))
         feats, encs = (np.stack(a) for a in zip(*retrieved))
-        out = fuse(e, pe, feats, encs, params)
-        out_p = fuse(e, pe, feats[perm], encs[perm], params)
+        out = fuse(e, pe, feats, encs)
+        out_p = fuse(e, pe, feats[perm], encs[perm])
         assert np.max(np.abs(out - out_p)) <= 1e-12
         # softmax rows sum to 1 within 1e-12
         rows = softmax(rng.uniform(-50, 50, (6, 7)))
