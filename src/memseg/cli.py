@@ -286,7 +286,8 @@ def cmd_ablate(args) -> int:
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            # the pool starts all its workers at once: no more than there are cells
+            with ProcessPoolExecutor(max_workers=min(args.workers, len(cells))) as pool:
                 rows = list(pool.map(_ablate_cell, cells))
         else:
             rows = [_ablate_cell(c) for c in cells]

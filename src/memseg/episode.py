@@ -40,6 +40,7 @@ from .pipeline import (
     encode_stack,
     mask_feature,
     predict,
+    prompt_rows,
 )
 from .synth import Frame, NoiseConfig, TaskSpec, gen_frame, preprocess_stream
 
@@ -197,7 +198,8 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
         reads_seed = mem_cfg.retrieval == "random" or task.noise.confidence_miscalibration > 0
         event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
         result = _retrieve(base, e, mem_cfg, event_seed)
-        e_cond = fuse(e, pe, result.features, result.encodings)
+        # predict reads only the prompt box's token rows, so only they are fused
+        e_cond = fuse(e, pe, result.features, result.encodings, prompt_rows(prompt, enc_cfg))
         mask_hat, y_hat = predict(
             e_cond,
             prompt,

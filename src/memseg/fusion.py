@@ -6,7 +6,10 @@ LN(E_new) + PE_new tokens; keys and values are the concatenation over
 retrieved entries of LN(F_i) + PE_i tokens.  Positional encodings are
 added (not concatenated) so the model dim stays C.  The output is the
 residual sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns
-E_new unchanged.
+E_new unchanged.  A slice of token-grid rows restricts the queries to
+those rows: each query attends to the keys alone, so the rows computed
+equal the full call's, and the decoder, which reads only the prompt box's
+rows, sees the same bits.
 
 The attention has one head whose projections are fixed gains times the
 identity, so each projection is an exact scalar multiply.
@@ -35,14 +38,20 @@ def fuse(
     pe_new: np.ndarray,
     features: np.ndarray,
     encodings: np.ndarray,
+    rows: slice = slice(None),
 ) -> np.ndarray:
     """Condition embedding_new on k retrieved mask features and their
     positional encodings, each a (k, C, H, W) stack.
 
-    Returns a tensor of the same (C, H, W) shape.  With k = 0 the input is
-    returned unchanged (bitwise), which is also the behaviour of a
-    capacity-0 memory.  Both layer norms use the unit affine.  Non-finite
-    inputs, or scores that overflow, raise ValueError.
+    Returns a tensor of the same (C, H, W) shape.  Only the token-grid rows
+    in ``rows``, a non-empty slice of step 1, are conditioned; the others
+    are embedding_new's values.  Keys and values always span every
+    retrieved token.  A restricted call equals the full one bitwise on its
+    rows as long as it keeps at least two tokens: BLAS rounds a one-row
+    product differently, which a square grid never asks for.  With k = 0
+    the input is returned unchanged (bitwise), which is also the behaviour
+    of a capacity-0 memory.  Both layer norms use the unit affine.
+    Non-finite inputs, or scores that overflow, raise ValueError.
     """
     e = np.asarray(embedding_new, dtype=np.float64)
     pe = np.asarray(pe_new, dtype=np.float64)
@@ -54,6 +63,9 @@ def fuse(
             f" shape {tuple(e.shape)}"
         )
     c, h, w = e.shape
+    start, stop, step = rows.indices(h)
+    if step != 1 or stop <= start:
+        raise ShapeError(f"rows {rows} is not a non-empty step-1 range of {h} rows")
     feats = np.asarray(features, dtype=np.float64)
     mem_pes = np.asarray(encodings, dtype=np.float64)
     if feats.shape[1:] != e.shape or mem_pes.shape != feats.shape:
@@ -73,12 +85,14 @@ def fuse(
         raise ValueError("fusion keys and values have non-finite values")
 
     tokens = _tokens(e)
-    q = layer_norm(tokens) + _tokens(pe)
+    lo, hi = start * w, stop * w
+    q = layer_norm(tokens[lo:hi]) + _tokens(pe)[lo:hi]
     # the operands are C-ordered like a projection matmul's output, so BLAS
     # rounds as in the kernels' attention under the gains times the identity
     scores = np.multiply(q, KEY_GAIN, order="C") @ np.multiply(kv, KEY_GAIN, order="C").T
     scores /= math.sqrt(c)
     out = softmax(scores) @ np.multiply(kv, VALUE_GAIN, order="C")
     out *= OUT_GAIN
-    tokens = tokens + out
-    return tokens.reshape(h, w, c).transpose(2, 0, 1)
+    fused = tokens.copy()  # C-ordered, like the sum it replaces
+    fused[lo:hi] += out
+    return fused.reshape(h, w, c).transpose(2, 0, 1)

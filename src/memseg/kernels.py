@@ -246,10 +246,20 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x) -> np.ndarray:
-    """GELU with the tanh approximation."""
+    """GELU with the tanh approximation,
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``, evaluated in that
+    operation and operand order on one temporary beside the result."""
     x = _float(x)
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    t = np.multiply(x, x, out=np.empty_like(x))  # an array even for 0-d x
+    t *= x
+    np.multiply(0.044715, t, out=t)
+    np.add(x, t, out=t)
+    np.multiply(_GELU_C, t, out=t)
+    np.tanh(t, out=t)
+    np.add(1.0, t, out=t)
+    out = 0.5 * x
+    out *= t
+    return out
 
 
 def gelu_grad(x) -> np.ndarray:

@@ -214,6 +214,14 @@ def encode_prompt(
     return (x0, y0, x1, y1)
 
 
+def prompt_rows(prompt: tuple[int, int, int, int], cfg: EncoderConfig) -> slice:
+    """The token-grid rows that a pixel box prompt covers: the only rows of
+    the conditioned embedding that predict reads."""
+    _, y0, _, y1 = prompt
+    p = cfg.patch_size
+    return slice(y0 // p, (y1 - 1) // p + 1)
+
+
 def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
     """Tight half-open bounding box of a nonzero mask."""
     if mask.sum() == 0:
@@ -242,7 +250,8 @@ def predict(
     """Decode a mask and an oracle-assisted confidence.
 
     The mask is a fixed linear read-out of the conditioned embedding,
-    thresholded per token, upsampled to pixels and gated to the prompt box.
+    thresholded per token, upsampled to pixels and gated to the prompt box,
+    so only the box's token rows (``prompt_rows``) matter; it is boolean.
     The confidence is logit(IoU(mask_hat, frame.mask)), clipped away from
     {0, 1}; corrupted frames additionally receive Gaussian miscalibration
     noise of the given magnitude.
@@ -260,7 +269,7 @@ def predict(
     x0, y0, x1, y1 = prompt
     box = np.zeros_like(up)
     box[y0:y1, x0:x1] = True
-    mask_hat = (up & box).astype(np.uint8)
+    mask_hat = up & box
 
     overlap = iou(mask_hat, frame.mask)
     y_hat = _logit(float(np.clip(overlap, CONFIDENCE_CAP, 1.0 - CONFIDENCE_CAP)))

@@ -59,7 +59,7 @@ class Frame:
     label; ``is_corrupted`` is hidden from the model path."""
 
     features: np.ndarray  # (H, W, Cin)
-    mask: np.ndarray  # (H, W) binary
+    mask: np.ndarray  # (H, W) bool
     slice_index: int
     is_corrupted: bool = False
 
@@ -90,7 +90,8 @@ def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _task_appearance(projection_seed: int, size: int):
-    """Per-task fixed signatures and texture, derived only from the task."""
+    """Per-task fixed signatures and texture, derived only from the task,
+    and the two rendered planes ``fg + texture`` and ``bg + texture``."""
     rng = np.random.default_rng(np.random.SeedSequence([projection_seed, 0xA99]))
     fg_base, bg_base = base_signatures()
     fg = fg_base + 0.6 * rng.normal(0.0, 1.0, IMG_CHANNELS)
@@ -102,7 +103,8 @@ def _task_appearance(projection_seed: int, size: int):
         np.sin(2 * np.pi * freq[0] * yy + phase[0])
         + np.cos(2 * np.pi * freq[1] * xx + phase[1])
     )
-    return _frozen(fg, bg, texture)
+    planes = (fg + texture[..., None], bg + texture[..., None])
+    return _frozen(fg, bg, texture, *planes)
 
 
 @lru_cache(maxsize=64)
@@ -123,10 +125,8 @@ def _shape_mask(task: TaskSpec, t: int, size: int) -> np.ndarray:
     cx, cy = np.clip(cx, 0.25, 0.75), np.clip(cy, 0.25, 0.75)
     yy, xx = _grid(size)
     if task.shape_family == "ellipse":
-        mask = ((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0
-    else:
-        mask = (np.abs(xx - cx) <= ax) & (np.abs(yy - cy) <= ay)
-    return mask.astype(np.uint8)
+        return ((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0
+    return (np.abs(xx - cx) <= ax) & (np.abs(yy - cy) <= ay)
 
 
 def _corrupt_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -160,10 +160,10 @@ def gen_frame(task: TaskSpec, t: int, rng_seed: int, size: int = 32) -> Frame:
     rng = np.random.default_rng(
         np.random.SeedSequence([rng_seed, task.projection_seed, t])
     )
-    fg, bg, texture = _task_appearance(task.projection_seed, size)
+    *_, fg_plane, bg_plane = _task_appearance(task.projection_seed, size)
     clean = _shape_mask(task, t, size)
-    # for a 0/1 mask this equals mask * fg + (1 - mask) * bg bit for bit
-    features = np.where(clean[..., None] == 1, fg, bg) + texture[..., None]
+    # equals clean * fg + (1 - clean) * bg + texture bit for bit
+    features = np.where(clean[..., None], fg_plane, bg_plane)
     if task.noise.feature_noise_sigma > 0:
         features = features + rng.normal(
             0.0, task.noise.feature_noise_sigma, features.shape
@@ -196,6 +196,9 @@ def preprocess_stream(frames: list[Frame], min_edge_ratio: float = 0.5) -> list[
         if min(h, w) < min_edge_ratio * max(h, w):
             continue
         if f.mask.sum() == 0:
+            continue
+        if f.mask.dtype == bool:  # a non-empty bool mask is one class
+            out.append(f)
             continue
         classes = sorted(int(c) for c in np.unique(f.mask) if c != 0)
         if classes == [1]:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and run configuration."""
 
+import concurrent.futures
 import hashlib
 import inspect
 import json
@@ -268,6 +269,34 @@ def test_ablate_workers_match_serial_bytewise(tmp_path):
         serial = (tmp_path / f"w1{suffix}").read_bytes()
         assert serial == (tmp_path / f"w2{suffix}").read_bytes()
         assert hashlib.sha256(serial).hexdigest() == digest
+
+
+def test_ablate_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch):
+    # a stand-in pool: records its size and maps serially, so no process
+    # is started whatever --workers asks for
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    small = ["--set", "tasks.count=1", "--set", "seeds=0",
+             "--set", "stream.volumes_per_task=1", "--set", "stream.slices_per_volume=4"]
+    for workers in ("1", "1000"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["ablate", "--out", str(out), "--workers", workers, *small]) == 0
+    assert asked == [24]  # 3 capacities x 2 retrievals x 2 adapter x 2 confidence
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w1000.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,35 @@ def test_overflowing_scores_raise(kind):
     e, pe, feats, encs = draw(np.random.default_rng(8), SHAPE, 2)
     with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
         fuse(e, np.full(SHAPE, 1e200), feats, np.full(feats.shape, 1e200))
+
+
+@pytest.mark.parametrize("c", [8, 12, 16])
+@pytest.mark.parametrize("grid", [(4, 4), (8, 8), (3, 5)])
+@pytest.mark.parametrize("layout", ["c-contiguous", "encode-stack-view"])
+def test_row_restricted_fusion_equals_full_rows_bitwise(c, grid, layout):
+    """Every contiguous row range: its rows equal the full call's bits and
+    the other rows are the embedding's, in the full call's layout."""
+    h, w = grid
+    rng = np.random.default_rng(c * h * w)
+    for k in range(5):
+        e, pe, feats, encs = draw(rng, (c, h, w), k)
+        if layout == "encode-stack-view":
+            # encode_stack hands out (H, W, C) token maps transposed to (C, H, W)
+            e = np.ascontiguousarray(e.transpose(1, 2, 0)).transpose(2, 0, 1)
+        full = fuse(e, pe, feats, encs)
+        for start in range(h):
+            for stop in range(start + 1, h + 1):
+                got = fuse(e, pe, feats, encs, slice(start, stop))
+                assert got.strides == full.strides
+                assert got[:, start:stop].tobytes() == full[:, start:stop].tobytes()
+                assert got[:, :start].tobytes() == e[:, :start].tobytes()
+                assert got[:, stop:].tobytes() == e[:, stop:].tobytes()
+
+
+@pytest.mark.parametrize("rows", [slice(0, 4, 2), slice(3, 0, -1), slice(2, 2), slice(5, 9)])
+def test_rows_must_be_a_non_empty_unit_step_range(rows):
+    e, pe, feats, encs = draw(np.random.default_rng(3), (8, 4, 4), 2)
+    with pytest.raises(ShapeError, match="rows"):
+        fuse(e, pe, feats, encs, rows)
+    with pytest.raises(ShapeError, match="rows"):  # an empty retrieval checks them too
+        fuse(e, pe, feats[:0], encs[:0], rows)

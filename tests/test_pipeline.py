@@ -16,6 +16,7 @@ from memseg.pipeline import (
     mask_feature,
     positional_encoding,
     predict,
+    prompt_rows,
 )
 from memseg.synth import Frame, NoiseConfig, TaskSpec, gen_frame
 
@@ -214,6 +215,8 @@ def test_predict_upsampling_matches_kron():
         on = np.einsum("chw,c->hw", e, w_dir) > tau
         want = np.kron(on, np.ones((CFG.patch_size, CFG.patch_size), dtype=bool))
         mask_hat, _ = predict(e, encode_prompt((0, 0, 32, 32)), frame, CFG)
+        assert mask_hat.dtype == bool
+        # a bool mask hashes as the 0/1 bytes of a uint8 one
         assert mask_hat.tobytes() == want.astype(np.uint8).tobytes()
 
 
@@ -226,3 +229,24 @@ def test_predict_gates_to_prompt_box():
     mask_hat, _ = predict(e_cond, narrow, frame, CFG)
     assert mask_hat[:, 12:].sum() == 0  # nothing outside the box
     assert mask_hat[4:12, 4:12].sum() > 0
+
+
+def test_prompt_rows_at_patch_boundaries():
+    cfg = EncoderConfig(patch_size=4)
+    assert prompt_rows((0, 4, 32, 8), cfg) == slice(1, 2)  # pixel rows 4-7
+    assert prompt_rows((0, 3, 32, 5), cfg) == slice(0, 2)  # pixel rows 3-4
+    assert prompt_rows((0, 0, 32, 32), cfg) == slice(0, 8)
+    assert prompt_rows((5, 31, 6, 32), cfg) == slice(7, 8)
+
+
+def test_predict_reads_only_the_prompt_rows():
+    rng = np.random.default_rng(21)
+    frame = clean_frame()
+    for prompt in [(4, 4, 12, 12), (0, 3, 32, 5), (9, 17, 30, 32)]:
+        e = rng.normal(0.0, 3.0, CFG.feature_shape)
+        rows = prompt_rows(prompt, CFG)
+        other = rng.normal(0.0, 3.0, CFG.feature_shape)
+        other[:, rows] = e[:, rows]
+        want, y_want = predict(e, prompt, frame, CFG)
+        got, y_got = predict(other, prompt, frame, CFG)
+        assert got.tobytes() == want.tobytes() and y_got == y_want
