@@ -50,11 +50,9 @@ def test_gen_frame_varies_with_seed_and_t():
 
 
 def test_cached_appearance_arrays_read_only():
-    fg, bg, texture, fg_plane, bg_plane = appearance = synth._task_appearance(11, 32)
-    # the rendered planes are the signatures over the texture
-    assert fg_plane.tobytes() == (fg + texture[..., None]).tobytes()
-    assert bg_plane.tobytes() == (bg + texture[..., None]).tobytes()
-    cached = [*synth.base_signatures(), *appearance, *synth._grid(32)]
+    # the appearance is fg, bg, texture and the two rendered planes
+    fg, bg, texture, fg_plane, bg_plane = synth._task_appearance(11, 32)
+    cached = [*synth.base_signatures(), fg, bg, texture, fg_plane, bg_plane, *synth._grid(32)]
     for a in cached:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
