@@ -28,9 +28,8 @@ import numpy as np
 from .kernels import sigmoid
 
 MAGIC = b"SMB2"
-VERSION = 1
+VERSION = 2
 _F8 = np.dtype("<f8")  # the file's float layout, native float64 on little-endian hosts
-_IO_BUFFER = 1 << 20  # bytes buffered per memory-file open: row-sized I/O batches into few syscalls
 _SEAL_BYTES = 1 << 20  # squared-row temporaries per block when _seal caches many norms
 
 
@@ -122,7 +121,7 @@ class MemoryBase:
                 f"capacity {self.capacity} with feature shape {shape} is too big to allocate"
             ) from exc
         self.confidences, self.squashed, self.feature_norms, self.embedding_norms = (
-            np.empty(self.capacity) for _ in range(4)
+            np.empty(self.capacity, _F8) for _ in range(4)
         )
         self.tags: list[str] = []
 
@@ -175,7 +174,7 @@ def _seal(base: MemoryBase, lo: int, hi: int) -> None:
     if hi - lo == 1:  # an insert: one row, indexed, costs less than a slice
         blocks = [lo]
     else:
-        step = max(1, _SEAL_BYTES // base.mask_features.strides[0])
+        step = max(1, _SEAL_BYTES // (_F8.itemsize * math.prod(base.feature_shape)))
         blocks = [slice(b, min(b + step, hi)) for b in range(lo, hi, step)]
     for rows, norms in ((base.mask_features, base.feature_norms),
                         (base.image_embeddings, base.embedding_norms)):
@@ -305,24 +304,23 @@ def stats(base: MemoryBase) -> MemoryStats:
 # ---------------------------------------------------------------------------
 # persistence
 #
-# Little-endian layout:
-#   magic "SMB2" | u32 version=1 | u32 capacity | u32 count | u32 C,H,W
-#   per entry: f64 y_hat | u32 tag_len | tag utf-8
-#              | F, PE, E as raw f64 arrays of C*H*W values each
+# Little-endian layout, the base's own columns one after another:
+#   magic "SMB2" | u32 version=2 | u32 capacity | u32 count | u32 C,H,W
+#   | count f64 confidences | count u32 tag lengths | the tags' UTF-8, joined
+#   | the F rows | the PE rows | the E rows, each count * C*H*W f64
 
 
 def _chunks(base: MemoryBase):
-    """The memory file in order: header, then per entry its confidence and
-    tag and views of its F, PE and E rows."""
-    c, h, w = base.feature_shape
-    yield MAGIC
-    yield struct.pack("<IIIIII", VERSION, base.capacity, len(base), c, h, w)
-    for i, tag in enumerate(base.tags):
-        raw = tag.encode("utf-8")
-        yield struct.pack("<dI", base.confidences[i], len(raw))
-        yield raw
-        for rows in (base.mask_features, base.positional_encodings, base.image_embeddings):
-            yield memoryview(rows[i])
+    """The memory file in order: header, confidences, tag lengths, tags,
+    then views of the live F, PE and E rows."""
+    n = len(base)
+    raw = [tag.encode("utf-8") for tag in base.tags]
+    yield MAGIC + struct.pack("<IIIIII", VERSION, base.capacity, n, *base.feature_shape)
+    yield memoryview(base.confidences[:n])
+    yield struct.pack(f"<{n}I", *map(len, raw))
+    yield b"".join(raw)
+    for rows in (base.mask_features, base.positional_encodings, base.image_embeddings):
+        yield memoryview(rows[:n])
 
 
 def base_bytes(base: MemoryBase) -> bytes:
@@ -332,8 +330,8 @@ def base_bytes(base: MemoryBase) -> bytes:
 
 def save_base(base: MemoryBase, path) -> None:
     """Write the base in the binary memory-file format (bit-exact floats),
-    row by row through one _IO_BUFFER, so saving holds no file image."""
-    with open(path, "wb", buffering=_IO_BUFFER) as fh:
+    one column per write, so saving holds no file image."""
+    with open(path, "wb") as fh:
         fh.writelines(_chunks(base))
 
 
@@ -341,7 +339,7 @@ class _Reader:
     """Sequential reads from a memory file, checked against its size first
     so a corrupt length field can neither over-read nor over-allocate, and
     against what arrives, so a file that shrinks after it was sized cannot
-    leave part of a row unwritten."""
+    leave part of a column unwritten."""
 
     def __init__(self, fh):
         self.fh, self.left = fh, os.fstat(fh.fileno()).st_size
@@ -367,9 +365,10 @@ class _Reader:
 
 def load_base(path) -> MemoryBase:
     """Read a memory file written by save_base; round-trips bit-exactly.
-    Rows are read through one _IO_BUFFER straight into the base, so loading
-    holds no file image, and the derived caches are sealed once at the end."""
-    with open(path, "rb", buffering=_IO_BUFFER) as fh:
+    Each column is checked against the bytes left and read straight into
+    the base, so loading holds no file image, and the derived caches are
+    sealed once at the end."""
+    with open(path, "rb") as fh:
         r = _Reader(fh)
         magic = r.take(4, "magic")
         if magic != MAGIC:
@@ -383,19 +382,20 @@ def load_base(path) -> MemoryBase:
             base = new_base(capacity, (c, h, w))
         except ValueError as exc:
             raise ShapeInconsistencyError(str(exc)) from exc
-        for i in range(count):
-            (base.confidences[i],) = struct.unpack("<d", r.take(8, f"entry {i} confidence"))
-            (tag_len,) = struct.unpack("<I", r.take(4, f"entry {i} tag length"))
-            raw = r.take(tag_len, f"entry {i} tag")
+        r.take(8 * count, "confidences", into=base.confidences[:count])
+        lengths = struct.unpack(f"<{count}I", r.take(4 * count, "tag lengths"))
+        blob, at = r.take(sum(lengths), "tags"), 0
+        for i, n in enumerate(lengths):
             try:
-                base.tags.append(str(raw, "utf-8"))
+                base.tags.append(str(blob[at : at + n], "utf-8"))
             except UnicodeDecodeError as exc:
                 raise MemoryFileError(f"entry {i} tag is not valid UTF-8: {exc.reason}"
                                       f" at byte {exc.start}") from exc
-            for rows, what in ((base.mask_features, "mask feature"),
-                               (base.positional_encodings, "positional encoding"),
-                               (base.image_embeddings, "image embedding")):
-                r.take(rows[i].nbytes, f"entry {i} {what}", into=rows[i])
+            at += n
+        for rows, what in ((base.mask_features, "mask features"),
+                           (base.positional_encodings, "positional encodings"),
+                           (base.image_embeddings, "image embeddings")):
+            r.take(rows[:count].nbytes, what, into=rows[:count])
     if r.left:
         raise ShapeInconsistencyError(f"{r.left} unexpected trailing bytes")
     bad = np.flatnonzero(~np.isfinite(base.confidences[:count]))

@@ -316,6 +316,16 @@ def test_mem_export_import_round_trip(tmp_path, capsys):
     assert "8/8 entries" in out
 
 
+@pytest.mark.parametrize("capacity, count", [(8, 3), (8, 0), (0, 0)])
+def test_mem_round_trip_of_part_filled_and_empty_bases(tmp_path, capsys, capacity, count):
+    src, dst = tmp_path / "m1.smb", tmp_path / "m2.smb"
+    assert main(["mem-export", "--capacity", str(capacity), "--count", str(count),
+                 "--shape", "2", "2", "2", "--out", str(src)]) == 0
+    assert main(["mem-import", str(src), "--out", str(dst)]) == 0
+    assert src.read_bytes() == dst.read_bytes()
+    assert f"{count}/{capacity} entries" in capsys.readouterr().out
+
+
 def test_unrecognized_args_rejected(capsys):
     assert main(["memcheck", "--bogus.flag", "1"]) == 2
 
@@ -361,6 +371,7 @@ def test_unrecognized_args_rejected(capsys):
         ["simulate", "{tmp}/k_bool.json"],
         ["simulate", "{tmp}/sigma_bool.json"],
         ["mem-import", "{tmp}/huge_header.smb"],
+        ["mem-import", "{tmp}/version_1.smb"],
         ["mem-export", "--capacity", str(1 << 40), "--count", "0",
          "--shape", "65535", "65535", "65535", "--out", "{tmp}/m.smb"],
         ["gradcheck", "--trials", "1", "--shape", "1", "2", "2", "4", "2",
@@ -380,7 +391,7 @@ def test_unrecognized_args_rejected(capsys):
          "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
          "key-gain-nan", "noise-sigma-inf", "gradcheck-tol-nan",
          "gradcheck-tol-inf", "retrieval-none", "import-tag-not-utf8", "import-nan-confidence",
-         "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "export-huge-base",
+         "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "import-version-1", "export-huge-base",
          "gradcheck-report-missing-dir", "ablate-workers-0", "ablate-workers-neg",
          "gradcheck-config-shorthand", "gradcheck-heads-0",
          "gradcheck-bottleneck-wide"],
@@ -389,18 +400,21 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
     (tmp_path / "a_file").write_bytes(b"")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
-    # one-entry memory files of shape (1, 1, 1): a bad tag, then a NaN confidence
-    header, rows = b"SMB2" + struct.pack("<6I", 1, 1, 1, 1, 1, 1), bytes(24)
+    # one-entry memory files of shape (1, 1, 1), each column one value: a
+    # bad tag, a NaN confidence, and a good entry under version 1
+    header, rows = b"SMB2" + struct.pack("<6I", 2, 1, 1, 1, 1, 1), bytes(24)
     (tmp_path / "tag_not_utf8.smb").write_bytes(
         header + struct.pack("<dI", 0.5, 2) + b"\xc3(" + rows)
     (tmp_path / "nan_confidence.smb").write_bytes(
         header + struct.pack("<dI", math.nan, 0) + rows)
+    (tmp_path / "version_1.smb").write_bytes(
+        b"SMB2" + struct.pack("<6I", 1, 1, 1, 1, 1, 1) + struct.pack("<dI", 0.5, 0) + rows)
     (tmp_path / "capacity_float.json").write_text(json.dumps({"memory.capacity": 2.7}))
     (tmp_path / "k_bool.json").write_text(json.dumps({"memory.k": True}))
     (tmp_path / "sigma_bool.json").write_text(json.dumps({"noise.feature_noise_sigma": True}))
     # an empty base whose capacity and shape numpy refuses before allocating
     (tmp_path / "huge_header.smb").write_bytes(
-        b"SMB2" + struct.pack("<6I", 1, (1 << 32) - 1, 0, 65535, 65535, 65535))
+        b"SMB2" + struct.pack("<6I", 2, (1 << 32) - 1, 0, 65535, 65535, 65535))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if argv[0] == "simulate" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "r")]

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memseg.cli import oracle_topk
@@ -550,6 +550,40 @@ def test_roundtrip_large_bit_identical(tmp_path):
     assert loaded.feature_norms[130] == loaded.embedding_norms[130] == 0.0
 
 
+# one- to four-byte UTF-8 characters, so tags differ in length and in width
+_tags = st.text(st.sampled_from("a/-\u00e9\u4e2d\U0001f600"), max_size=4)
+
+
+@settings(max_examples=60, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), capacity=st.integers(0, 8),
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2)))
+@example(data=None, capacity=3, shape=(1, 1, 1))
+def test_roundtrip_property(tmp_path, data, capacity, shape):
+    if data is None:  # the pinned example: empty, ASCII and multi-byte tags, a zero row
+        rows = [(0.0, "", True), (-700.0, "\u00e9\u4e2d", False), (700.0, "ab", False)]
+    else:
+        rows = data.draw(st.lists(
+            st.tuples(st.floats(-700.0, 700.0), _tags, st.booleans()), max_size=capacity))
+    rng = np.random.default_rng(capacity)
+    base = new_base(capacity, shape)
+    for y, tag, zero in rows:
+        f, pe, e = (rng.normal(size=shape) for _ in range(3))
+        if zero:
+            f, e = np.zeros(shape), np.zeros(shape)
+        assert insert_or_replace(base, MemoryEntry(f, pe, y, e, tag)).kind == "appended"
+    path = tmp_path / "prop.smb"
+    save_base(base, path)
+    image = base_bytes(base)
+    assert path.read_bytes() == image
+    loaded = load_base(path)
+    assert base_bytes(loaded) == image
+    assert loaded.tags == base.tags == [tag for _, tag, _ in rows]
+    n = len(rows)
+    for name in ("squashed", "feature_norms", "embedding_norms"):
+        assert getattr(loaded, name)[:n].tobytes() == getattr(base, name)[:n].tobytes()
+
+
 def test_load_peak_memory_is_the_base_plus_a_few_mib(tmp_path):
     # buffered reads and the blockwise seal must never amount to holding
     # the file image, which would double the peak
@@ -599,11 +633,17 @@ def test_load_errors_report_byte_counts(tmp_path):
     save_base(fill_base(rng, 4, 2), path)
     data = path.read_bytes()
     path.write_bytes(data[:-10])
-    with pytest.raises(TruncatedFileError, match="needed 64 bytes for entry 1 image embedding, had 54"):
+    with pytest.raises(TruncatedFileError, match="needed 128 bytes for image embeddings, had 118"):
         load_base(path)
-    # a corrupt tag length is checked against the file size before any read
-    path.write_bytes(data[:36] + struct.pack("<I", 0xFFFFFFFF) + data[40:])
-    with pytest.raises(TruncatedFileError, match="needed 4294967295 bytes for entry 0 tag"):
+    # corrupt tag lengths are summed and checked against the file size
+    # before the tags are read; the sum does not wrap at 32 bits
+    lengths = 28 + 2 * 8  # header, then the two confidences
+    path.write_bytes(data[:lengths] + struct.pack("<I", 0xFFFFFFFF) + data[lengths + 4 :])
+    with pytest.raises(TruncatedFileError, match="needed 4294967295 bytes for tags, had 384$"):
+        load_base(path)
+    path.write_bytes(data[:lengths] + struct.pack("<2I", 0xFFFFFFFF, 0xFFFFFFFF)
+                     + data[lengths + 8 :])
+    with pytest.raises(TruncatedFileError, match="needed 8589934590 bytes for tags, had 384$"):
         load_base(path)
     path.write_bytes(data + b"\x01" * 3)
     with pytest.raises(ShapeInconsistencyError, match="^3 unexpected trailing bytes$"):
@@ -619,7 +659,7 @@ def test_load_short_read_is_truncation(tmp_path, monkeypatch):
     monkeypatch.setattr(memory.os, "fstat", lambda fd: SimpleNamespace(st_size=len(data)))
     path.write_bytes(data[:-10])
     with pytest.raises(TruncatedFileError,
-                       match="needed 64 bytes for entry 1 image embedding, read 54 before its end"):
+                       match="needed 128 bytes for image embeddings, read 118 before its end"):
         load_base(path)
     path.write_bytes(data[:20])
     with pytest.raises(TruncatedFileError, match="needed 24 bytes for header, read 16"):
@@ -632,8 +672,7 @@ def test_load_rejects_nonfinite_confidence(tmp_path, y_hat):
     path = tmp_path / "y.smb"
     save_base(fill_base(rng, 4, 3), path)
     data = bytearray(path.read_bytes())
-    entry = 12 + 3 * 8 * math.prod(SHAPE)  # confidence, tag length, empty tag, rows
-    at = 28 + 2 * entry  # entry 2's confidence
+    at = 28 + 2 * 8  # the header, then entry 2's confidence
     data[at : at + 8] = struct.pack("<d", y_hat)
     path.write_bytes(bytes(data))
     with pytest.raises(MemoryFileError, match=f"^entry 2 confidence {y_hat} is not finite$"):
@@ -647,7 +686,7 @@ def test_load_rejects_tag_that_is_not_utf8(tmp_path):
     path = tmp_path / "tag.smb"
     save_base(base, path)
     data = bytearray(path.read_bytes())
-    at = 28 + (12 + 3 * 8 * math.prod(SHAPE)) + 12 + 1  # header, entry 0, then entry 1's "b"
+    at = 28 + 2 * 8 + 2 * 4 + 1  # header, confidences, tag lengths, then entry 1's "b"
     assert data[at : at + 1] == b"b"
     data[at] = 0xFF
     path.write_bytes(bytes(data))
@@ -682,9 +721,38 @@ def test_load_version_mismatch(tmp_path):
 ], ids=["too-big-to-allocate", "zero-extent"])
 def test_load_rejects_header_no_base_can_hold(tmp_path, capacity, shape, match):
     path = tmp_path / "h.smb"
-    path.write_bytes(b"SMB2" + struct.pack("<6I", 1, capacity, 0, *shape))
+    path.write_bytes(b"SMB2" + struct.pack("<6I", 2, capacity, 0, *shape))
     with pytest.raises(ShapeInconsistencyError, match=match):
         load_base(path)
+
+
+def test_load_refuses_version_1(tmp_path):
+    # a version-1 file, one entry of shape (1, 1, 1): its confidence, tag
+    # length and tag, then its three rows
+    path = tmp_path / "v1.smb"
+    path.write_bytes(b"SMB2" + struct.pack("<6I", 1, 1, 1, 1, 1, 1)
+                     + struct.pack("<dI", 0.5, 1) + b"a" + bytes(24))
+    with pytest.raises(VersionMismatchError, match="^unsupported version 1, expected 2$"):
+        load_base(path)
+
+
+def test_every_strict_prefix_is_truncated_and_any_tail_is_trailing(tmp_path):
+    rng = np.random.default_rng(32)
+    base = fill_base(rng, 4, 2)
+    base.tags[1] = "t\u00e9"
+    data = base_bytes(base)
+    assert len(data) == 28 + 2 * 8 + 2 * 4 + 3 + 3 * 2 * 8 * math.prod(SHAPE)
+    path = tmp_path / "p.smb"
+    for end in range(len(data)):
+        path.write_bytes(data[:end])
+        with pytest.raises(TruncatedFileError):
+            load_base(path)
+    for extra in (1, 2, 3):
+        path.write_bytes(data + b"\x00" * extra)
+        with pytest.raises(ShapeInconsistencyError, match=f"^{extra} unexpected trailing bytes$"):
+            load_base(path)
+    path.write_bytes(data)
+    assert base_bytes(load_base(path)) == data
 
 
 def test_load_truncated(tmp_path):

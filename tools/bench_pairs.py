@@ -132,6 +132,8 @@ def main(argv=None) -> int:
         "machine": None,
         "workloads": {},
     }
+    if args.workdir:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkouts = {side: Path(tmp) / side for side in sides}
         for side, sha in sides.items():
