@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Subcommands: gradcheck (adapter-block gradients vs complex-step derivatives),
-memcheck (randomized memory property suites), simulate (episode runs),
-ablate (CSV sweep over the memory/retrieval/adapter axes), mem-export and
-mem-import (memory file round-trip).
+simulate (episode runs), ablate (CSV sweep over the memory/retrieval/adapter
+axes), mem-export and mem-import (memory file round-trip).
 
 Exit codes: 0 success, 1 property violation, 2 usage/config error.
 """
@@ -14,7 +13,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,11 +25,9 @@ from .episode import run_episode
 from .memory import (
     MemoryEntry,
     MemoryFileError,
-    base_bytes,
     insert_or_replace,
     load_base,
     new_base,
-    retrieve_topk,
     save_base,
     stats,
 )
@@ -105,117 +101,6 @@ def cmd_gradcheck(args) -> int:
             return EXIT_USAGE
         print(f"wrote {args.report}")
     return EXIT_VIOLATION if failed else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# memcheck
-
-
-def oracle_topk(embeddings, confidences, query, k) -> list[int]:
-    """Independent pure-python full sort of cos(E_i, query) + sigmoid(y_hat_i)
-    over embedding rows E_i and raw confidences y_hat_i, descending, ties to
-    the lower index; a vector with norm < 1e-12 has cosine 0."""
-    q = np.ravel(query).tolist()
-    qn = math.sqrt(sum(v * v for v in q))
-    totals = []
-    for row, y in zip(embeddings, map(float, confidences)):
-        emb = np.ravel(row).tolist()
-        en = math.sqrt(sum(v * v for v in emb))
-        if en < 1e-12 or qn < 1e-12:
-            s = 0.0
-        else:
-            s = max(-1.0, min(1.0, sum(a * b for a, b in zip(emb, q)) / (en * qn)))
-        conf = 1.0 / (1.0 + math.exp(-y)) if y >= 0 else math.exp(y) / (1.0 + math.exp(y))
-        totals.append(s + conf)
-    order = sorted(range(len(totals)), key=lambda i: (-totals[i], i))
-    return order[:k]
-
-
-def _random_entry(rng, shape, tag=""):
-    f, pe, y = rng.normal(size=shape), rng.normal(size=shape), float(rng.normal())
-    return MemoryEntry(f, pe, y, rng.normal(size=shape), source_tag=tag)
-
-
-def _random_base(rng, capacity, count, shape, tag_prefix=""):
-    """A base of count random entries, each tagged tag_prefix + its index."""
-    base = new_base(capacity, shape)
-    for i in range(count):
-        insert_or_replace(base, _random_entry(rng, shape, f"{tag_prefix}{i}"))
-    return base
-
-
-def cmd_memcheck(args) -> int:
-    if args.trials < 1:
-        print("memcheck: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    rng = np.random.default_rng(args.seed)
-    print(f"memcheck: {args.trials} trials, master seed {args.seed}")
-    shape = (2, 2, 4)
-
-    for trial in range(args.trials):
-        trial_seed = int(rng.integers(0, 2**31 - 1))
-        trng = np.random.default_rng(trial_seed)
-
-        # retrieval oracle equivalence
-        n = int(trng.integers(1, 33))
-        base = _random_base(trng, 64, n, shape)
-        query = trng.normal(size=shape)
-        k = int(trng.integers(1, 9))
-        got = retrieve_topk(base, query, k).indices
-        want = oracle_topk(base.image_embeddings[:n], base.confidences[:n], query, k)
-        if got != want:
-            print(
-                f"VIOLATION retrieval-oracle at trial seed {trial_seed}:"
-                f" got {got}, oracle {want}",
-                file=sys.stderr,
-            )
-            return EXIT_VIOLATION
-
-        # replacement monotonicity on a full base
-        cap = int(trng.integers(1, 6))
-        base = _random_base(trng, cap, cap, shape)
-        for _ in range(8):
-            new = _random_entry(trng, shape)
-            before = base_bytes(base)
-            out = insert_or_replace(base, new)
-            if len(base) > cap:
-                print(f"VIOLATION size at trial seed {trial_seed}", file=sys.stderr)
-                return EXIT_VIOLATION
-            if out.kind == "replaced" and not new.y_hat > out.old_confidence:
-                print(
-                    f"VIOLATION monotonicity at trial seed {trial_seed}",
-                    file=sys.stderr,
-                )
-                return EXIT_VIOLATION
-            if out.kind == "rejected" and base_bytes(base) != before:
-                print(
-                    f"VIOLATION rejected-insert mutated base at trial seed {trial_seed}",
-                    file=sys.stderr,
-                )
-                return EXIT_VIOLATION
-
-    # capacity-0 edge suite
-    base = new_base(0, shape)
-    zrng = np.random.default_rng(args.seed)
-    for _ in range(10):
-        out = insert_or_replace(
-            base,
-            MemoryEntry(
-                zrng.normal(size=shape),
-                zrng.normal(size=shape),
-                0.0,
-                zrng.normal(size=shape),
-            ),
-        )
-        if out.kind != "rejected" or len(base) != 0:
-            print("VIOLATION capacity-0 suite", file=sys.stderr)
-            return EXIT_VIOLATION
-    if retrieve_topk(base, zrng.normal(size=shape), 4).indices != []:
-        print("VIOLATION capacity-0 retrieval", file=sys.stderr)
-        return EXIT_VIOLATION
-
-    print("memcheck: all suites passed")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +202,19 @@ def cmd_ablate(args) -> int:
 # memory file round-trip
 
 
+def _random_entry(rng, shape, tag=""):
+    f, pe, y = rng.normal(size=shape), rng.normal(size=shape), float(rng.normal())
+    return MemoryEntry(f, pe, y, rng.normal(size=shape), source_tag=tag)
+
+
+def _random_base(rng, capacity, count, shape, tag_prefix=""):
+    """A base of count random entries, each tagged tag_prefix + its index."""
+    base = new_base(capacity, shape)
+    for i in range(count):
+        insert_or_replace(base, _random_entry(rng, shape, f"{tag_prefix}{i}"))
+    return base
+
+
 def cmd_mem_export(args) -> int:
     if args.count < 0:
         print(f"mem-export: --count must be >= 0, got {args.count}", file=sys.stderr)
@@ -365,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memseg",
         description="Confidence-driven memory simulator: gradient checks,"
-        " memory property suites, episodes, and ablation sweeps.",
+        " episodes, ablation sweeps, and memory file round trips.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -387,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gradient name to perturb by +10%% (failure demo)")
     g.add_argument("--report", type=str, default=None, help="write a JSON report here")
     g.set_defaults(func=cmd_gradcheck)
-
-    m = sub.add_parser("memcheck", help="randomized memory property suites")
-    m.add_argument("--trials", type=int, default=1000)
-    m.add_argument("--seed", type=int, default=0)
-    m.set_defaults(func=cmd_memcheck)
 
     s = sub.add_parser("simulate", help="run a continual-learning episode")
     s.add_argument("config", nargs="?", default=None, help="JSON config of flat dotted keys")

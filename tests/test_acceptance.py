@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from memseg.adapter import block_params, grad_check
-from memseg.cli import main, oracle_topk
+from memseg.cli import main
 from memseg.episode import EpisodeSettings, MemoryConfig, make_tasks, run_episode
 from memseg.fusion import fuse
 from memseg.kernels import softmax
@@ -27,6 +27,7 @@ from memseg.memory import (
 )
 from memseg.metrics import dice, iou
 from memseg.synth import Frame, NoiseConfig, preprocess_stream
+from memory_oracle import oracle_topk
 
 
 def _ok(name: str, detail: str = ""):

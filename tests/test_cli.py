@@ -156,18 +156,6 @@ def test_gradcheck_mutation_fails_with_exit_1(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# memcheck
-
-
-def test_memcheck_passes(capsys):
-    rc = main(["memcheck", "--trials", "50", "--seed", "7"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "master seed 7" in out  # replay seed printed
-    assert "all suites passed" in out
-
-
-# ---------------------------------------------------------------------------
 # simulate
 
 
@@ -327,7 +315,7 @@ def test_mem_round_trip_of_part_filled_and_empty_bases(tmp_path, capsys, capacit
 
 
 def test_unrecognized_args_rejected(capsys):
-    assert main(["memcheck", "--bogus.flag", "1"]) == 2
+    assert main(["mem-import", "x.smb", "--bogus.flag", "1"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -350,7 +338,7 @@ def test_unrecognized_args_rejected(capsys):
         ["simulate", "--out", "{tmp}/a_file"],
         ["ablate", "--out", "{tmp}/a_file/abl.csv"],
         ["mem-export", "--count", "-3", "--out", "{tmp}/m.smb"],
-        ["memcheck", "--trials", "-2"],
+        ["gradcheck", "--trials", "-2"],
         ["simulate", "--set", "seeds=0,-1"],
         ["simulate", "{tmp}"],
         ["simulate", "{tmp}/binary.json"],
@@ -386,7 +374,7 @@ def test_unrecognized_args_rejected(capsys):
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic", "import-missing",
          "export-shape-0", "export-missing-dir", "gradcheck-shape-0",
          "image-size-0", "image-size-neg", "blocks-neg", "simulate-out-file",
-         "ablate-out-file", "export-count-neg", "memcheck-trials-neg", "negative-seed",
+         "ablate-out-file", "export-count-neg", "gradcheck-trials-neg", "negative-seed",
          "config-is-dir", "config-not-utf8", "slices-per-volume-0", "volumes-per-task-0",
          "bottleneck-0", "channels-0", "noise-sigma-nan", "miscalibration-nan",
          "key-gain-nan", "noise-sigma-inf", "gradcheck-tol-nan",

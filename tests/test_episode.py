@@ -166,6 +166,43 @@ def test_report_schema_well_formed():
             }
 
 
+def test_stream_statistics_match_recorded_dice(monkeypatch):
+    """Each task's stream mean and spread are np.mean and np.std of the
+    Dice values its stream steps returned.  A task's snapshot closes its
+    phase, so the values recorded since the previous snapshot are its
+    stream steps followed by its dsc_before evaluation."""
+    phases = [[]]
+    dice_, stats_ = episode.dice, episode.stats
+
+    def recorded_dice(*args):
+        phases[-1].append(dice_(*args))
+        return phases[-1][-1]
+
+    monkeypatch.setattr(episode, "dice", recorded_dice)
+    monkeypatch.setattr(episode, "stats", lambda base: phases.append([]) or stats_(base))
+    row = run_episode(quick_tasks(3, corrupt=0.3), MemoryConfig(), [0], FAST).per_seed[0]
+    assert len(phases) == 4  # three phases, then the final evaluations
+    for task_row, recorded in zip(row["per_task"], phases):
+        stream = recorded[: task_row["stream_frames"]]
+        assert len(stream) == task_row["stream_frames"] > 1
+        assert task_row["stream_dsc_mean"] == float(np.mean(stream))
+        assert task_row["stream_dsc_std"] == float(np.std(stream))
+        assert task_row["stream_dsc_std"] > 0.0
+
+
+@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+def test_seed_rows_do_not_depend_on_the_other_seeds(retrieval):
+    """A seed's row is the same whichever seeds run before it: no state,
+    such as an event counter, carries from one seed to the next."""
+    noise = NoiseConfig(label_corrupt_prob=0.3, feature_noise_sigma=1.0,
+                        confidence_miscalibration=0.35)
+    tasks = make_tasks(3, noise)
+    cfg = MemoryConfig(capacity=8, retrieval=retrieval)
+    pair = run_episode(tasks, cfg, [3, 7], FAST)
+    alone = run_episode(tasks, cfg, [7], FAST)
+    assert pair.per_seed[1] == alone.per_seed[0]
+
+
 def test_emptied_volumes_report_zero():
     """At image size 4 preprocessing can drop every frame of a one-slice
     volume.  Seed 8 empties task 0's stream and both held-out volumes; each

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from memseg.cli import oracle_topk
 from memseg import memory
 from memseg.kernels import sigmoid
 from memseg.memory import (
@@ -31,6 +30,7 @@ from memseg.memory import (
     save_base,
     stats,
 )
+from memory_oracle import oracle_topk
 
 SHAPE = (2, 2, 2)
 
@@ -365,6 +365,7 @@ def test_insert_capacity_zero_always_rejected():
     for _ in range(5):
         assert insert_or_replace(base, make_entry(rng)).kind == "rejected"
     assert len(base) == 0
+    assert retrieve_topk(base, rng.normal(size=SHAPE), 4).indices == []
 
 
 def test_replacement_monotonicity_randomized():

@@ -11,11 +11,13 @@ in even pairs and the head in odd ones, so a drift in machine load hits
 both sides alike.  For each workload and end-to-end metric the file holds
 both sides' median and quartiles (inclusive method), the pairs the head
 won, the ratio of medians, whether their difference exceeds the base's
-interquartile distance, and ``claim_rule_met``: the head won at least
+interquartile distance, ``claim_rule_met``: the head won at least
 0.9 x pairs and its median is better than the base's by more than the
-base's interquartile distance.  It also holds every run's values and
-failure count, the seed-0 episode digests, both git shas and the machine,
-and one summary line per workload is printed.
+base's interquartile distance, and ``within_bound``: the head's median is
+worse than the base's by no more than the metric's BENCHMARK.json
+``bound``, a fraction of the base's median.  It also holds every run's
+values and failure count, the seed-0 episode digests, both git shas and
+the machine, and one summary line per workload is printed.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
             "head_over_base": h["median"] / b["median"],
             "exceeds_base_iqr": abs(h["median"] - b["median"]) > iqr,
             "claim_rule_met": wins >= 0.9 * len(base) and gain > iqr,
+            "within_bound": -gain <= m["bound"] * b["median"],
         }
     return metrics
 
@@ -102,7 +105,8 @@ def summary_line(workload: str, metrics: dict, pairs: int) -> str:
     return f"{workload}: " + "; ".join(
         f"{name} {m['base']['median']:.4g} -> {m['head']['median']:.4g}"
         f" (x{m['head_over_base']:.3f}, head wins {m['head_wins']}/{pairs},"
-        f" claim {'met' if m['claim_rule_met'] else 'not met'})"
+        f" claim {'met' if m['claim_rule_met'] else 'not met'},"
+        f" {'within' if m['within_bound'] else 'beyond'} bound {m['bound']})"
         for name, m in metrics.items()
     )
 
