@@ -9,7 +9,9 @@ residual sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns
 E_new unchanged.  A slice of token-grid rows restricts the queries to
 those rows: each query attends to the keys alone, so the rows computed
 equal the full call's, and the decoder, which reads only the prompt box's
-rows, sees the same bits.
+rows, sees the same bits.  The query and memory tokens are copied into
+one C-ordered buffer and normalised by one layer-norm call, so the output
+depends on the inputs' values only, never on their memory layout.
 
 The attention has one head whose projections are fixed gains times the
 identity, so each projection is an exact scalar multiply.
@@ -50,7 +52,7 @@ def fuse(
     rows as long as it keeps at least two tokens: BLAS rounds a one-row
     product differently, which a square grid never asks for.  With k = 0
     the input is returned unchanged (bitwise), which is also the behaviour
-    of a capacity-0 memory.  Both layer norms use the unit affine.
+    of a capacity-0 memory.  The layer norm uses the unit affine.
     Non-finite inputs, or scores that overflow, raise ValueError.
     """
     e = np.asarray(embedding_new, dtype=np.float64)
@@ -78,20 +80,28 @@ def fuse(
     if not len(feats):
         return e.copy()
 
-    # one layer norm over all entries' tokens; rows stay in entry order
-    kv = layer_norm(_tokens(feats))
-    kv += _tokens(mem_pes)
+    # one C-ordered buffer: the queried rows' tokens, then every entry's
+    # tokens in entry order.  Layer norm works row by row, so one call
+    # gives each row the bits of a call of its own.
+    tokens = _tokens(e)
+    lo, hi = start * w, stop * w
+    m = hi - lo
+    buf = np.empty((m + len(feats) * h * w, c))
+    buf[:m] = tokens[lo:hi]
+    buf[m:].reshape(-1, h, w, c)[...] = feats.transpose(0, 2, 3, 1)
+    normed = layer_norm(buf)
+    q, kv = normed[:m], normed[m:]
+    q += _tokens(pe)[lo:hi]
+    kv_grid = kv.reshape(-1, h, w, c)
+    kv_grid += mem_pes.transpose(0, 2, 3, 1)
     if not np.isfinite(kv).all():
         raise ValueError("fusion keys and values have non-finite values")
 
-    tokens = _tokens(e)
-    lo, hi = start * w, stop * w
-    q = layer_norm(tokens[lo:hi]) + _tokens(pe)[lo:hi]
-    # the operands are C-ordered like a projection matmul's output, so BLAS
+    # q and kv are C-ordered like a projection matmul's output, so BLAS
     # rounds as in the kernels' attention under the gains times the identity
-    scores = np.multiply(q, KEY_GAIN, order="C") @ np.multiply(kv, KEY_GAIN, order="C").T
+    scores = (q * KEY_GAIN) @ (kv * KEY_GAIN).T
     scores /= math.sqrt(c)
-    out = softmax(scores) @ np.multiply(kv, VALUE_GAIN, order="C")
+    out = softmax(scores) @ (kv * VALUE_GAIN)
     out *= OUT_GAIN
     fused = tokens.copy()  # C-ordered, like the sum it replaces
     fused[lo:hi] += out

@@ -1,7 +1,11 @@
 """Dense numeric kernels: normalization, projections, a depth-axis
 convolution, attention and activations.
 
-Tensors are C-contiguous arrays with explicit shapes.  Forward kernels keep
+Tensors are arrays with explicit shapes.  Layout rule: ``layer_norm`` and
+``softmax`` reduce along the last axis of a C-ordered copy of their input
+(no copy for C-ordered input), because a sum along a strided axis adds in
+a different order from one along a contiguous axis; so their bits depend
+on the input's values only, never on its memory layout.  Forward kernels keep
 a floating or complex input's dtype (float64 in production, complex128 in
 the gradient check's complex step) and cast other inputs to float64; the
 ``*_vjp`` companions used by the hand-written block backward pass work in
@@ -98,7 +102,7 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-6) -> np.ndarray:
     """Normalize over the last axis to zero mean / unit variance, then apply
     the affine (gamma, beta); without them the unit affine, an exact no-op,
     is skipped."""
-    x = _arr(x, "x")
+    x = np.asarray(_arr(x, "x"), order="C")  # reduce along a contiguous axis
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     d = x.shape[-1]
@@ -218,7 +222,7 @@ def conv3d_vjp(g, x, kernel):
 
 def softmax(x) -> np.ndarray:
     """Numerically stable softmax (max-subtracted) along the last axis."""
-    x = _arr(x, "x")
+    x = np.asarray(_arr(x, "x"), order="C")  # reduce along a contiguous axis
     e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)

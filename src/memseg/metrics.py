@@ -23,10 +23,10 @@ def dice(a, b) -> float:
     a, b = _as_binary(a, "a"), _as_binary(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    total = int(a.sum()) + int(b.sum())
+    total = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
     if total == 0:
         return 1.0
-    return 2.0 * int((a & b).sum()) / total
+    return 2.0 * int(np.count_nonzero(a & b)) / total
 
 
 def iou(a, b) -> float:
@@ -34,7 +34,7 @@ def iou(a, b) -> float:
     a, b = _as_binary(a, "a"), _as_binary(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    union = int((a | b).sum())
+    union = int(np.count_nonzero(a | b))
     if union == 0:
         return 1.0
-    return int((a & b).sum()) / union
+    return int(np.count_nonzero(a & b)) / union

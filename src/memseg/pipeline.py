@@ -224,7 +224,7 @@ def prompt_rows(prompt: tuple[int, int, int, int], cfg: EncoderConfig) -> slice:
 
 def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
     """Tight half-open bounding box of a nonzero mask."""
-    if mask.sum() == 0:
+    if not mask.any():
         raise ValueError("cannot derive a bbox from an empty mask")
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
@@ -272,7 +272,7 @@ def predict(
     mask_hat = up & box
 
     overlap = iou(mask_hat, frame.mask)
-    y_hat = _logit(float(np.clip(overlap, CONFIDENCE_CAP, 1.0 - CONFIDENCE_CAP)))
+    y_hat = _logit(min(max(overlap, CONFIDENCE_CAP), 1.0 - CONFIDENCE_CAP))
     if frame.is_corrupted and miscalibration > 0.0:
         y_hat += miscalibration * float(np.random.default_rng(rng_seed).normal())
     return mask_hat, float(y_hat)

@@ -122,7 +122,7 @@ def _shape_mask(task: TaskSpec, t: int, size: int) -> np.ndarray:
     # relative to the object size so neighbouring slices mostly overlap
     cx = cx0 + vx * t + 0.015 * np.sin(0.5 * t)
     cy = cy0 + vy * t + 0.015 * np.cos(0.5 * t)
-    cx, cy = np.clip(cx, 0.25, 0.75), np.clip(cy, 0.25, 0.75)
+    cx, cy = min(max(cx, 0.25), 0.75), min(max(cy, 0.25), 0.75)
     yy, xx = _grid(size)
     if task.shape_family == "ellipse":
         return ((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0
@@ -182,7 +182,7 @@ def gen_frame(task: TaskSpec, t: int, rng_seed: int, size: int = 32) -> Frame:
 def preprocess_stream(frames: list[Frame], min_edge_ratio: float = 0.5) -> list[Frame]:
     """Standardize a raw stream:
 
-    1. drop frames whose mask has a zero label sum;
+    1. drop frames whose mask has no nonzero label;
     2. drop frames whose shortest edge is below min_edge_ratio of the
        longest edge;
     3. split multi-class masks into one binary frame per class (ascending
@@ -195,7 +195,7 @@ def preprocess_stream(frames: list[Frame], min_edge_ratio: float = 0.5) -> list[
         h, w = f.mask.shape
         if min(h, w) < min_edge_ratio * max(h, w):
             continue
-        if f.mask.sum() == 0:
+        if not f.mask.any():
             continue
         if f.mask.dtype == bool:  # a non-empty bool mask is one class
             out.append(f)

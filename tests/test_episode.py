@@ -203,6 +203,22 @@ def test_seed_rows_do_not_depend_on_the_other_seeds(retrieval):
     assert pair.per_seed[1] == alone.per_seed[0]
 
 
+@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+def test_miscalibration_without_corruption_changes_nothing(retrieval):
+    """Miscalibration perturbs only corrupted frames' confidences, so at
+    label_corrupt_prob 0 the predictions and confidences are the same at
+    miscalibration 0 and 0.7."""
+
+    def digest(miscalibration):
+        noise = NoiseConfig(label_corrupt_prob=0.0, feature_noise_sigma=1.0,
+                            confidence_miscalibration=miscalibration)
+        cfg = MemoryConfig(capacity=8, retrieval=retrieval)
+        report = run_episode(make_tasks(3, noise), cfg, [5], FAST)
+        return report.per_seed[0]["prediction_digest"]
+
+    assert digest(0.7) == digest(0.0)
+
+
 def test_emptied_volumes_report_zero():
     """At image size 4 preprocessing can drop every frame of a one-slice
     volume.  Seed 8 empties task 0's stream and both held-out volumes; each

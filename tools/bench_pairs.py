@@ -129,7 +129,13 @@ def main(argv=None) -> int:
     sides = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     seconds = spec["run_seconds"]
     out = {
-        "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        # the settings that shape the result; --out by file name and no
+        # --workdir, so the file names no path of the machine that ran it
+        "command": " ".join([
+            "python3 tools/bench_pairs.py", "--base", args.base, "--head", args.head,
+            "--out", Path(args.out).name, "--pairs", str(args.pairs),
+            "--workloads", *args.workloads, "--seeds", *map(str, args.seeds),
+        ]),
         "run_seconds": seconds,
         "pairs": args.pairs,
         "git_sha": sides,
