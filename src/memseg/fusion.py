@@ -31,8 +31,8 @@ KEY_GAIN, VALUE_GAIN, OUT_GAIN = 1.5, 1.0, 1.5
 
 
 def _tokens(t: np.ndarray) -> np.ndarray:
-    # (..., C, H, W) -> (...*H*W, C)
-    return t.transpose(*range(t.ndim - 3), -2, -1, -3).reshape(-1, t.shape[-3])
+    # (C, H, W) -> (H*W, C)
+    return t.transpose(1, 2, 0).reshape(-1, t.shape[0])
 
 
 def fuse(

@@ -195,7 +195,8 @@ def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndar
     else:
         sims = np.zeros(mat.shape[0])
         sims[ok] = mat[ok] @ vec / (norms[ok] * vn)
-    return np.clip(sims, -1.0, 1.0, out=sims)
+    np.minimum(sims, 1.0, out=sims)
+    return np.maximum(sims, -1.0, out=sims)
 
 
 def _ranked(base: MemoryBase, slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
