@@ -40,7 +40,7 @@ from .pipeline import (
     encode_stack,
     mask_feature,
     predict,
-    prompt_rows,
+    prompt_tokens,
 )
 from .synth import Frame, NoiseConfig, TaskSpec, gen_frame, preprocess_stream
 
@@ -198,8 +198,8 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
         reads_seed = mem_cfg.retrieval == "random" or task.noise.confidence_miscalibration > 0
         event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
         result = _retrieve(base, e, mem_cfg, event_seed)
-        # predict reads only the prompt box's token rows, so only they are fused
-        e_cond = fuse(e, pe, result.features, result.encodings, prompt_rows(prompt, enc_cfg))
+        # predict reads only the prompt box's tokens, so only they are fused
+        e_cond = fuse(e, pe, result.features, result.encodings, *prompt_tokens(prompt, enc_cfg))
         mask_hat, y_hat = predict(
             e_cond,
             prompt,

@@ -5,11 +5,16 @@ image_embedding) tuples with two retrieval policies and a confidence-gated
 replacement rule:
 
 * top-K retrieval ranks entries by cosine similarity of image embeddings
-  plus the sigmoid-squashed confidence, descending, ties broken by lower
-  insertion index;
+  plus the sigmoid-squashed confidence, descending, exact ties of the
+  computed scores broken by lower insertion index;
 * replacement into a full base evicts the entry whose mask feature is most
   similar to the incoming one, but only when the incoming confidence is
   strictly higher.
+
+A tie is one of the computed scores, not of the entries: BLAS computes the
+matrix-vector rows past the last multiple of four in a separate pass, so
+two identical entries on either side of that boundary can score one
+rounding apart, and the higher one ranks first whatever its slot.
 
 Confidences are stored raw (logit scale); the sigmoid squash is applied
 only inside the retrieval score, and replacement compares raw values
@@ -201,8 +206,9 @@ def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndar
 
 def _ranked(base: MemoryBase, slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
     """The min(k, len(slots)) candidate slots of highest score, exact ties
-    resolved toward the lower slot.  The arrays are copies of the rows, so a later replacement
-    cannot change what the caller holds."""
+    of the computed scores resolved toward the lower slot.  The arrays are
+    copies of the rows, so a later replacement cannot change what the
+    caller holds."""
     # lexsort: primary key -scores ascending (= scores descending), ties by slot
     order = np.lexsort((slots, -scores))[:k]
     idx = slots[order]
@@ -220,8 +226,9 @@ def retrieve_topk(
 ) -> RetrievalResult:
     """Select the min(k, len) entries maximizing cos(E_i, E_new) + sigmoid(y_hat_i).
 
-    Descending score order; exact ties resolved toward the lower insertion
-    index. Never mutates the base.  ``use_confidence=False`` drops the
+    Descending score order; exact ties of the computed scores resolved
+    toward the lower insertion index (identical entries need not tie, see
+    the module docstring).  Never mutates the base.  ``use_confidence=False`` drops the
     squashed-confidence term, ranking by similarity alone (the ablation's
     plain memory-retrieval variant).
     """
@@ -259,8 +266,9 @@ def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
 def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
     """Append below capacity; otherwise replace the stored entry whose mask
     feature is most cosine-similar to the new one, but only if its
-    confidence is strictly lower than the new entry's.  Ties in similarity
-    go to the lowest insertion index."""
+    confidence is strictly lower than the new entry's.  Exact ties of the
+    computed similarities go to the lowest insertion index (identical
+    features need not tie, see the module docstring)."""
     _check_entry(base, new)
     n = len(base)
     if base.capacity == 0:

@@ -214,12 +214,14 @@ def encode_prompt(
     return (x0, y0, x1, y1)
 
 
-def prompt_rows(prompt: tuple[int, int, int, int], cfg: EncoderConfig) -> slice:
-    """The token-grid rows that a pixel box prompt covers: the only rows of
-    the conditioned embedding that predict reads."""
-    _, y0, _, y1 = prompt
+def prompt_tokens(
+    prompt: tuple[int, int, int, int], cfg: EncoderConfig
+) -> tuple[slice, slice]:
+    """The token-grid rows and columns that a pixel box prompt covers: the
+    only tokens of the conditioned embedding that predict reads."""
+    x0, y0, x1, y1 = prompt
     p = cfg.patch_size
-    return slice(y0 // p, (y1 - 1) // p + 1)
+    return slice(y0 // p, (y1 - 1) // p + 1), slice(x0 // p, (x1 - 1) // p + 1)
 
 
 def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -251,7 +253,7 @@ def predict(
 
     The mask is a fixed linear read-out of the conditioned embedding,
     thresholded per token, upsampled to pixels and gated to the prompt box,
-    so only the box's token rows (``prompt_rows``) matter; it is boolean.
+    so only the box's tokens (``prompt_tokens``) matter; it is boolean.
     The confidence is logit(IoU(mask_hat, frame.mask)), clipped away from
     {0, 1}; corrupted frames additionally receive Gaussian miscalibration
     noise of the given magnitude.

@@ -97,6 +97,31 @@ def test_full_report_bytes_match_pin(name):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == want
 
 
+# sha256 of the cs640 report above at a 2x2 token grid (image_size 8,
+# patch_size 4) with retrieval logs.  Boxes of one token happen there, and
+# fuse widens each to its row; the pin was taken before fuse restricted
+# its queries to the box's columns.
+TINY_GRID_REPORT_SHA256 = "ce8a785eecb52d3671851c33fcbe5c4ae975cfb8cc4d9c01d2ffebe7f20b57f5"
+
+
+def test_tiny_grid_report_bytes_match_pin(monkeypatch):
+    boxes = []
+    fuse = episode.fuse
+
+    def counting_fuse(e, pe, features, encodings, rows, cols):
+        boxes.append(len(range(e.shape[1])[rows]) * len(range(e.shape[2])[cols]))
+        return fuse(e, pe, features, encodings, rows, cols)
+
+    monkeypatch.setattr(episode, "fuse", counting_fuse)
+    noise = NoiseConfig(
+        label_corrupt_prob=0.3, feature_noise_sigma=1.0, confidence_miscalibration=0.35
+    )
+    settings = EpisodeSettings(image_size=8, patch_size=4, log_retrievals=True)
+    report = run_episode(make_tasks(3, noise), MemoryConfig(capacity=640), [0, 1], settings)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == TINY_GRID_REPORT_SHA256
+    assert {1, 2, 4} <= set(boxes)  # one-token, one-row or one-column, and whole-grid boxes
+
+
 @pytest.mark.parametrize(
     "retrieval, miscalibration, per_step",
     [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memseg.fusion import KEY_GAIN, OUT_GAIN, VALUE_GAIN, fuse
+from memseg.fusion import KEY_GAIN, OUT_GAIN, fuse
 from memseg.kernels import (
     AttentionParams,
     ShapeError,
@@ -23,9 +23,9 @@ NONE = np.empty((0, *SHAPE))  # an empty retrieval: k = 0
 
 def reference_params(c):
     """fuse's attention as general multi-head params: one head, each
-    projection its gain times the identity."""
+    projection its gain times the identity (the value gain is 1)."""
     eye = np.eye(c)
-    return AttentionParams(1, KEY_GAIN * eye, KEY_GAIN * eye, VALUE_GAIN * eye, OUT_GAIN * eye)
+    return AttentionParams(1, KEY_GAIN * eye, KEY_GAIN * eye, eye, OUT_GAIN * eye)
 
 
 def stacks(retrieved):
@@ -227,6 +227,47 @@ def test_row_restricted_fusion_equals_full_rows_bitwise(c, grid, layout):
                 assert got[:, stop:].tobytes() == e[:, stop:].tobytes()
 
 
+@pytest.mark.parametrize("c", [8, 12, 16])
+@pytest.mark.parametrize("grid", [(4, 4), (8, 8), (3, 5)])
+@pytest.mark.parametrize("layout", ["c-contiguous", "encode-stack-view"])
+def test_box_restricted_fusion_equals_full_box_bitwise(c, grid, layout):
+    """Every box of contiguous rows and columns: its tokens equal the full
+    call's bits and the other tokens are the embedding's, in the full
+    call's layout.  A one-token box is computed as its whole row."""
+    h, w = grid
+    rng = np.random.default_rng(c * h * w + 1)
+    spans = lambda n: [slice(a, b) for a in range(n) for b in range(a + 1, n + 1)]  # noqa: E731
+    for k in range(5):
+        e, pe, feats, encs = draw(rng, (c, h, w), k)
+        if layout == "encode-stack-view":
+            e = np.ascontiguousarray(e.transpose(1, 2, 0)).transpose(2, 0, 1)
+        full = fuse(e, pe, feats, encs)
+        for rows in spans(h):
+            for cols in spans(w):
+                got = fuse(e, pe, feats, encs, rows, cols)
+                assert got.strides == full.strides
+                if len(range(h)[rows]) * len(range(w)[cols]) == 1:
+                    cols = slice(None)
+                inside = np.zeros((h, w), dtype=bool)
+                inside[rows, cols] = True
+                assert got[:, inside].tobytes() == full[:, inside].tobytes()
+                assert got[:, ~inside].tobytes() == e[:, ~inside].tobytes()
+
+
+def test_one_token_box_falls_back_to_its_row():
+    """A one-token box conditions its whole row, whose bits are the full
+    call's, rather than one token that BLAS would round on its own."""
+    e, pe, feats, encs = draw(np.random.default_rng(5), (16, 4, 4), 3)
+    full = fuse(e, pe, feats, encs)
+    for r in range(4):
+        row = fuse(e, pe, feats, encs, slice(r, r + 1))
+        for col in range(4):
+            got = fuse(e, pe, feats, encs, slice(r, r + 1), slice(col, col + 1))
+            assert got.tobytes() == row.tobytes()
+        assert got[:, r].tobytes() == full[:, r].tobytes()
+        assert not np.array_equal(got[:, r], e[:, r])
+
+
 @pytest.mark.parametrize("rows", [slice(0, 4, 2), slice(3, 0, -1), slice(2, 2), slice(5, 9)])
 def test_rows_must_be_a_non_empty_unit_step_range(rows):
     e, pe, feats, encs = draw(np.random.default_rng(3), (8, 4, 4), 2)
@@ -234,6 +275,15 @@ def test_rows_must_be_a_non_empty_unit_step_range(rows):
         fuse(e, pe, feats, encs, rows)
     with pytest.raises(ShapeError, match="rows"):  # an empty retrieval checks them too
         fuse(e, pe, feats[:0], encs[:0], rows)
+
+
+@pytest.mark.parametrize("cols", [slice(0, 4, 2), slice(3, 0, -1), slice(2, 2), slice(5, 9)])
+def test_cols_must_be_a_non_empty_unit_step_range(cols):
+    e, pe, feats, encs = draw(np.random.default_rng(3), (8, 4, 4), 2)
+    with pytest.raises(ShapeError, match="cols"):
+        fuse(e, pe, feats, encs, slice(1, 3), cols)
+    with pytest.raises(ShapeError, match="cols"):  # an empty retrieval checks them too
+        fuse(e, pe, feats[:0], encs[:0], slice(1, 3), cols)
 
 
 # the layouts an array of equal values can arrive in: C-ordered, F-ordered

@@ -35,13 +35,13 @@ from memory_oracle import oracle_topk
 SHAPE = (2, 2, 2)
 
 
-def make_entry(rng, y_hat=None, tag=""):
+def make_entry(rng, y_hat=None, tag="", shape=SHAPE):
     y = float(rng.normal()) if y_hat is None else float(y_hat)
     return MemoryEntry(
-        mask_feature=rng.normal(size=SHAPE),
-        positional_encoding=rng.normal(size=SHAPE),
+        mask_feature=rng.normal(size=shape),
+        positional_encoding=rng.normal(size=shape),
         y_hat=y,
-        image_embedding=rng.normal(size=SHAPE),
+        image_embedding=rng.normal(size=shape),
         source_tag=tag,
     )
 
@@ -138,6 +138,29 @@ def test_retrieve_tie_break_lower_index_first():
         insert_or_replace(base, entry)
     res = retrieve_topk(base, rng.normal(size=SHAPE), 2)
     assert res.indices == [0, 1]
+
+
+def test_twins_across_the_matrix_vector_tail_score_within_1e_12():
+    """Copies of one entry at slots 0 and 4 of a five-entry base straddle
+    the last multiple of four, past which BLAS computes matrix-vector rows
+    in a separate pass: their computed retrieval scores and replacement
+    similarities need not be equal, so only exact ties go to the lower
+    slot, but they agree to within 1e-12."""
+    rng = np.random.default_rng(24)
+    shape = (16, 8, 8)
+    for _ in range(50):
+        base = new_base(5, shape)
+        twin = make_entry(rng, y_hat=0.3, shape=shape)
+        insert_or_replace(base, twin)
+        for _ in range(3):
+            insert_or_replace(base, make_entry(rng, shape=shape))
+        insert_or_replace(base, twin)
+        res = retrieve_topk(base, rng.normal(size=shape), 5)
+        score = dict(zip(res.indices, res.scores))
+        assert abs(score[0] - score[4]) <= 1e-12
+        sims = memory._cosine_rows(base.mask_features, base.feature_norms,
+                                   rng.normal(size=shape).ravel())
+        assert abs(sims[0] - sims[4]) <= 1e-12
 
 
 def test_retrieve_matches_oracle_randomized():

@@ -16,7 +16,7 @@ from memseg.pipeline import (
     mask_feature,
     positional_encoding,
     predict,
-    prompt_rows,
+    prompt_tokens,
 )
 from memseg.synth import Frame, NoiseConfig, TaskSpec, gen_frame
 
@@ -231,22 +231,32 @@ def test_predict_gates_to_prompt_box():
     assert mask_hat[4:12, 4:12].sum() > 0
 
 
-def test_prompt_rows_at_patch_boundaries():
+def test_prompt_tokens_at_patch_boundaries():
     cfg = EncoderConfig(patch_size=4)
-    assert prompt_rows((0, 4, 32, 8), cfg) == slice(1, 2)  # pixel rows 4-7
-    assert prompt_rows((0, 3, 32, 5), cfg) == slice(0, 2)  # pixel rows 3-4
-    assert prompt_rows((0, 0, 32, 32), cfg) == slice(0, 8)
-    assert prompt_rows((5, 31, 6, 32), cfg) == slice(7, 8)
+    # pixel rows 4-7, every column
+    assert prompt_tokens((0, 4, 32, 8), cfg) == (slice(1, 2), slice(0, 8))
+    # pixel rows 3-4 and columns 7-8 straddle a patch edge each
+    assert prompt_tokens((7, 3, 9, 5), cfg) == (slice(0, 2), slice(1, 3))
+    # pixel columns 4-7 end on a patch edge
+    assert prompt_tokens((4, 0, 8, 32), cfg) == (slice(0, 8), slice(1, 2))
+    assert prompt_tokens((0, 0, 32, 32), cfg) == (slice(0, 8), slice(0, 8))
+    # one pixel in the last patch
+    assert prompt_tokens((31, 31, 32, 32), cfg) == (slice(7, 8), slice(7, 8))
+    assert prompt_tokens((5, 31, 6, 32), cfg) == (slice(7, 8), slice(1, 2))
+    two = EncoderConfig(image_size=8, patch_size=2)
+    assert prompt_tokens((1, 2, 6, 3), two) == (slice(1, 2), slice(0, 3))
 
 
-def test_predict_reads_only_the_prompt_rows():
+def test_predict_reads_only_the_prompt_tokens():
+    """Tokens outside the box's rows and, within them, outside its columns
+    are redrawn; the mask and confidence stay the same bits."""
     rng = np.random.default_rng(21)
     frame = clean_frame()
-    for prompt in [(4, 4, 12, 12), (0, 3, 32, 5), (9, 17, 30, 32)]:
+    for prompt in [(4, 4, 12, 12), (0, 3, 32, 5), (9, 17, 30, 32), (13, 0, 14, 32)]:
         e = rng.normal(0.0, 3.0, CFG.feature_shape)
-        rows = prompt_rows(prompt, CFG)
+        rows, cols = prompt_tokens(prompt, CFG)
         other = rng.normal(0.0, 3.0, CFG.feature_shape)
-        other[:, rows] = e[:, rows]
+        other[:, rows, cols] = e[:, rows, cols]
         want, y_want = predict(e, prompt, frame, CFG)
         got, y_got = predict(other, prompt, frame, CFG)
         assert got.tobytes() == want.tobytes() and y_got == y_want

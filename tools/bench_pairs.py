@@ -123,8 +123,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
     ap.add_argument("--workdir", help="where the two exports go (default: a temporary dir)")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or min(args.seeds) < 0:
-        ap.error("--pairs must be >= 1 and --seeds non-negative")
+    # the quartiles of a side need two runs
+    if args.pairs < 2 or min(args.seeds) < 0:
+        ap.error("--pairs must be >= 2 and --seeds non-negative")
 
     sides = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     seconds = spec["run_seconds"]
