@@ -11,7 +11,7 @@ from .adapter import (
     block_params,
     grad_check,
 )
-from .fusion import fuse
+from .fusion import fuse, memory_tokens
 from .kernels import (
     AttentionParams,
     ShapeError,

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapter import block_params
-from .fusion import fuse
+from .fusion import fuse, memory_tokens
 from .memory import (
     MemoryBase,
     MemoryEntry,
@@ -178,6 +178,12 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     events = itertools.count(1)
     digest = hashlib.sha256()
     retrieval_log: list[dict] = []
+    # slot -> its fusion tokens, (1, H*W, C), from its first retrieval until
+    # an insert replaces it; an empty retrieval fuses no tokens
+    slot_tokens: dict[int, np.ndarray] = {}
+    c, h, w = enc_cfg.feature_shape
+    no_tokens = np.empty((0, h * w, c))
+    no_tokens.flags.writeable = False
 
     def encoded(task, volume, eval_split):
         """(frame, (E, PE), box prompt) per frame of one volume; a held-out
@@ -187,6 +193,20 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
             (frame, enc, encode_prompt(bbox_of(frame.mask), settings.image_size))
             for frame, enc in zip(frames, encode_stack(frames, blocks, enc_cfg))
         ]
+
+    def memory_of(result):
+        """The retrieved slots' fusion tokens in retrieval order; one
+        memory_tokens call computes those of the slots not yet kept."""
+        if not result.indices:
+            return no_tokens
+        miss = [i for i, slot in enumerate(result.indices) if slot not in slot_tokens]
+        if miss:
+            fresh = memory_tokens(result.features[miss], result.encodings[miss])
+            for j, i in enumerate(miss):
+                slot_tokens[result.indices[i]] = fresh[j : j + 1]
+        memory = np.concatenate([slot_tokens[slot] for slot in result.indices])
+        memory.flags.writeable = False
+        return memory
 
     def step(task, frame, enc, prompt, tag, outcomes=None):
         """retrieve -> fuse -> predict, then insert and count the outcome
@@ -199,7 +219,7 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
         event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
         result = _retrieve(base, e, mem_cfg, event_seed)
         # predict reads only the prompt box's tokens, so only they are fused
-        e_cond = fuse(e, pe, result.features, result.encodings, *prompt_tokens(prompt, enc_cfg))
+        e_cond = fuse(e, pe, memory_of(result), *prompt_tokens(prompt, enc_cfg))
         mask_hat, y_hat = predict(
             e_cond,
             prompt,
@@ -228,7 +248,10 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
                 image_embedding=e,
                 source_tag=tag,
             )
-            outcomes[insert_or_replace(base, entry).kind] += 1
+            outcome = insert_or_replace(base, entry)
+            if outcome.kind == "replaced":  # the slot's kept tokens are stale
+                slot_tokens.pop(outcome.index, None)
+            outcomes[outcome.kind] += 1
         return dice(mask_hat, frame.mask), y_hat
 
     def evaluate(task, held_out) -> float:

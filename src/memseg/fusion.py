@@ -3,16 +3,17 @@ features via pre-norm cross-attention over the spatial token grid.
 
 Tokens are the H*W spatial positions with C channels.  Queries are
 LN(E_new) + PE_new tokens; keys and values are the concatenation over
-retrieved entries of LN(F_i) + PE_i tokens.  Positional encodings are
-added (not concatenated) so the model dim stays C.  The output is the
-residual sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns
-E_new unchanged.  Slices of token-grid rows and columns restrict the
-queries to that box: each query attends to the keys alone, so the tokens
-computed equal the full call's, and the decoder, which reads only the
-prompt box's tokens, sees the same bits.  The query and memory tokens are
-copied into one C-ordered buffer and normalised by one layer-norm call, so
-the output depends on the inputs' values only, never on their memory
-layout.
+retrieved entries of LN(F_i) + PE_i tokens, which ``memory_tokens``
+computes apart from ``fuse`` so that a caller can keep an entry's tokens
+for as long as the entry stays unchanged.  Positional encodings are added
+(not concatenated) so the model dim stays C.  The output is the residual
+sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns E_new
+unchanged.  Slices of token-grid rows and columns restrict the queries to
+that box: each query attends to the keys alone, so the tokens computed
+equal the full call's, and the decoder, which reads only the prompt box's
+tokens, sees the same bits.  Both sides normalise a C-ordered copy of
+their tokens, so the output depends on the inputs' values only, never on
+their memory layout.
 
 The attention has one head whose projections are fixed gains times the
 identity, so each projection is an exact scalar multiply; the value gain
@@ -39,28 +40,55 @@ def _span(index: slice, n: int, name: str) -> tuple[int, int]:
     return start, stop
 
 
+def memory_tokens(features: np.ndarray, encodings: np.ndarray) -> np.ndarray:
+    """Fusion's keys and values for k retrieved mask features and their
+    positional encodings, each a (k, C, H, W) stack: the read-only,
+    C-ordered (k, H*W, C) array of LN(F_i) + PE_i tokens, entry by entry
+    in stack order and each entry's tokens in row-major grid order.
+
+    One unit-affine ``layer_norm`` call normalises every token; it works
+    row by row, so an entry's tokens have the same bits whatever it is
+    stacked with, and so do the tokens of a stack built from several
+    calls' results.  Non-finite values raise ValueError.
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    encs = np.asarray(encodings, dtype=np.float64)
+    if feats.ndim != 4 or encs.shape != feats.shape:
+        raise ShapeError(
+            f"retrieved stacks {feats.shape}/{encs.shape} are not both (k, C, H, W)"
+        )
+    k, c, h, w = feats.shape
+    tokens = layer_norm(feats.transpose(0, 2, 3, 1).reshape(-1, c))
+    grid = tokens.reshape(k, h, w, c)
+    grid += encs.transpose(0, 2, 3, 1)
+    if not np.isfinite(tokens).all():
+        raise ValueError("fusion keys and values have non-finite values")
+    tokens.flags.writeable = False
+    return tokens.reshape(k, h * w, c)
+
+
 def fuse(
     embedding_new: np.ndarray,
     pe_new: np.ndarray,
-    features: np.ndarray,
-    encodings: np.ndarray,
+    memory: np.ndarray,
     rows: slice = slice(None),
     cols: slice = slice(None),
 ) -> np.ndarray:
-    """Condition embedding_new on k retrieved mask features and their
-    positional encodings, each a (k, C, H, W) stack.
+    """Condition embedding_new on the (k, H*W, C) tokens of k retrieved
+    entries, as ``memory_tokens`` returns them.
 
     Returns a tensor of the same (C, H, W) shape.  Only the token-grid box
     of ``rows`` and ``cols``, each a non-empty slice of step 1, is
-    conditioned; the other tokens are embedding_new's values.  Keys and
-    values always span every retrieved token.  A restricted call equals the
-    full one bitwise on its box as long as the box keeps at least two
+    conditioned; its tokens are layer-normed with the unit affine and get
+    pe_new added, and the other tokens are embedding_new's values.  Keys
+    and values always span every memory token.  A restricted call equals
+    the full one bitwise on its box as long as the box keeps at least two
     tokens, since BLAS rounds a one-row product differently; so a one-token
     box widens to its whole row (a one-column grid's single token still
     rounds on its own).  With k = 0 the input is returned unchanged
-    (bitwise), which is also the behaviour of a capacity-0 memory.  The
-    layer norm uses the unit affine.  Non-finite inputs, or scores that
-    overflow, raise ValueError.
+    (bitwise), which is also the behaviour of a capacity-0 memory.
+    Non-finite embeddings or encodings raise ValueError; so do non-finite
+    memory tokens and overflowing scores, through the scores they make.
     """
     e = np.asarray(embedding_new, dtype=np.float64)
     pe = np.asarray(pe_new, dtype=np.float64)
@@ -74,38 +102,23 @@ def fuse(
     c, h, w = e.shape
     r0, r1 = _span(rows, h, "rows")
     c0, c1 = _span(cols, w, "cols")
-    feats = np.asarray(features, dtype=np.float64)
-    mem_pes = np.asarray(encodings, dtype=np.float64)
-    if feats.shape[1:] != e.shape or mem_pes.shape != feats.shape:
-        raise ShapeError(
-            f"retrieved stacks {feats.shape}/{mem_pes.shape} are not both"
-            f" (k, {c}, {h}, {w})"
-        )
+    mem = np.asarray(memory, dtype=np.float64, order="C")
+    if mem.ndim != 3 or mem.shape[1:] != (h * w, c):
+        raise ShapeError(f"memory tokens {mem.shape} are not (k, {h * w}, {c})")
     if not (np.isfinite(e).all() and np.isfinite(pe).all()):
         raise ValueError("fusion embedding or its encoding has non-finite values")
-    if not len(feats):
+    if not len(mem):
         return e.copy()
     if (r1 - r0) * (c1 - c0) == 1:
         c0, c1 = 0, w
 
-    # one C-ordered buffer: the box's tokens, then every entry's tokens in
-    # entry order.  Layer norm works row by row, so one call gives each row
-    # the bits of a call of its own.
     grid = e.transpose(1, 2, 0)
     box = (slice(r0, r1), slice(c0, c1))
     box_shape = (r1 - r0, c1 - c0, c)
-    m = box_shape[0] * box_shape[1]
-    buf = np.empty((m + len(feats) * h * w, c))
-    buf[:m].reshape(box_shape)[...] = grid[box]
-    buf[m:].reshape(-1, h, w, c)[...] = feats.transpose(0, 2, 3, 1)
-    normed = layer_norm(buf)
-    q, kv = normed[:m], normed[m:]
+    q = layer_norm(grid[box].reshape(-1, c))
     q_box = q.reshape(box_shape)
     q_box += pe.transpose(1, 2, 0)[box]
-    kv_grid = kv.reshape(-1, h, w, c)
-    kv_grid += mem_pes.transpose(0, 2, 3, 1)
-    if not np.isfinite(kv).all():
-        raise ValueError("fusion keys and values have non-finite values")
+    kv = mem.reshape(-1, c)
 
     # q and kv are C-ordered like a projection matmul's output, so BLAS
     # rounds as in the kernels' attention under the gains times the identity

@@ -13,7 +13,7 @@ import pytest
 from memseg.adapter import block_params, grad_check
 from memseg.cli import main
 from memseg.episode import EpisodeSettings, MemoryConfig, make_tasks, run_episode
-from memseg.fusion import fuse
+from memseg.fusion import fuse, memory_tokens
 from memseg.kernels import softmax
 from memseg.memory import (
     BadMagicError,
@@ -150,7 +150,7 @@ def test_a4_fusion_identities():
         pe = rng.normal(size=(c, h, w))
         # empty memory returns the input bitwise
         none = np.empty((0, c, h, w))
-        assert np.array_equal(fuse(e, pe, none, none), e)
+        assert np.array_equal(fuse(e, pe, memory_tokens(none, none)), e)
         # permutation invariance within 1e-12
         retrieved = [
             (rng.normal(size=(c, h, w)), rng.normal(size=(c, h, w)))
@@ -158,8 +158,8 @@ def test_a4_fusion_identities():
         ]
         perm = rng.permutation(len(retrieved))
         feats, encs = (np.stack(a) for a in zip(*retrieved))
-        out = fuse(e, pe, feats, encs)
-        out_p = fuse(e, pe, feats[perm], encs[perm])
+        out = fuse(e, pe, memory_tokens(feats, encs))
+        out_p = fuse(e, pe, memory_tokens(feats[perm], encs[perm]))
         assert np.max(np.abs(out - out_p)) <= 1e-12
         # softmax rows sum to 1 within 1e-12
         rows = softmax(rng.uniform(-50, 50, (6, 7)))

@@ -14,6 +14,7 @@ from memseg.episode import (
     make_tasks,
     run_episode,
 )
+from memseg.fusion import memory_tokens
 from memseg.pipeline import EncoderConfig, bbox_of, encode_prompt, encode_stack, predict
 from memseg.synth import NoiseConfig, TaskSpec, gen_frame
 
@@ -108,9 +109,9 @@ def test_tiny_grid_report_bytes_match_pin(monkeypatch):
     boxes = []
     fuse = episode.fuse
 
-    def counting_fuse(e, pe, features, encodings, rows, cols):
+    def counting_fuse(e, pe, memory, rows, cols):
         boxes.append(len(range(e.shape[1])[rows]) * len(range(e.shape[2])[cols]))
-        return fuse(e, pe, features, encodings, rows, cols)
+        return fuse(e, pe, memory, rows, cols)
 
     monkeypatch.setattr(episode, "fuse", counting_fuse)
     noise = NoiseConfig(
@@ -242,6 +243,70 @@ def test_miscalibration_without_corruption_changes_nothing(retrieval):
         return report.per_seed[0]["prediction_digest"]
 
     assert digest(0.7) == digest(0.0)
+
+
+@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+def test_unfilled_capacity_changes_nothing_but_the_capacity(retrieval):
+    """A base that never fills never replaces, so a capacity of the raw
+    stream length and one ten times larger report the same, except for
+    the snapshots' capacity.  Preprocessing can only drop frames."""
+    noise = NoiseConfig(label_corrupt_prob=0.3, feature_noise_sigma=1.0,
+                        confidence_miscalibration=0.35)
+    tasks = make_tasks(3, noise)
+    frames = len(tasks) * FAST.volumes_per_task * FAST.slices_per_volume
+
+    def results(capacity):
+        report = run_episode(tasks, MemoryConfig(capacity=capacity, retrieval=retrieval),
+                             [2], FAST)
+        for snap in report.per_seed[0]["memory_snapshots"]:
+            assert snap.pop("capacity") == capacity
+        return report.per_seed, report.aggregate
+
+    full = results(frames)
+    assert full[0][0]["memory_snapshots"][-1]["count"] == frames  # the smaller base fills
+    assert full == results(10 * frames)
+
+
+@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+def test_kept_slot_tokens_equal_the_retrieved_rows_tokens(monkeypatch, retrieval):
+    """Every step fuses read-only tokens bit-equal to memory_tokens of the
+    rows it retrieved, in an episode that saturates a capacity-4 base: a
+    slot's kept tokens are dropped when an insert replaces it, and
+    replaced slots are retrieved again."""
+    results, fused = [], []
+    retrieve, insert, fuse = episode._retrieve, episode.insert_or_replace, episode.fuse
+    retrieved, stale, revisits = set(), set(), []
+
+    def recording_retrieve(*args):
+        results.append(retrieve(*args))
+        revisits.extend(stale.intersection(results[-1].indices))
+        stale.difference_update(results[-1].indices)
+        retrieved.update(results[-1].indices)
+        return results[-1]
+
+    def recording_insert(base, entry):
+        outcome = insert(base, entry)
+        if outcome.kind == "replaced" and outcome.index in retrieved:
+            stale.add(outcome.index)
+        return outcome
+
+    def checking_fuse(e, pe, memory, rows, cols):
+        want = memory_tokens(results[-1].features, results[-1].encodings)
+        assert memory.shape == want.shape and memory.tobytes() == want.tobytes()
+        assert not memory.flags.writeable
+        fused.append(len(memory))
+        return fuse(e, pe, memory, rows, cols)
+
+    monkeypatch.setattr(episode, "_retrieve", recording_retrieve)
+    monkeypatch.setattr(episode, "insert_or_replace", recording_insert)
+    monkeypatch.setattr(episode, "fuse", checking_fuse)
+    noise = NoiseConfig(label_corrupt_prob=0.3, feature_noise_sigma=1.0,
+                        confidence_miscalibration=0.35)
+    row = run_episode(make_tasks(3, noise), MemoryConfig(capacity=4, retrieval=retrieval),
+                      [0], FAST).per_seed[0]
+    assert len(fused) == len(results) and max(fused) == 4
+    assert sum(snap["replaced"] for snap in row["memory_snapshots"]) > 0
+    assert revisits  # a replaced slot's stale tokens would have been fused
 
 
 def test_emptied_volumes_report_zero():
