@@ -178,12 +178,9 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     events = itertools.count(1)
     digest = hashlib.sha256()
     retrieval_log: list[dict] = []
-    # slot -> its fusion tokens, (1, H*W, C), from its first retrieval until
-    # an insert replaces it; an empty retrieval fuses no tokens
+    # slot -> its own copy of its fusion tokens, (1, H*W, C), from its first
+    # retrieval until an insert replaces it
     slot_tokens: dict[int, np.ndarray] = {}
-    c, h, w = enc_cfg.feature_shape
-    no_tokens = np.empty((0, h * w, c))
-    no_tokens.flags.writeable = False
 
     def encoded(task, volume, eval_split):
         """(frame, (E, PE), box prompt) per frame of one volume; a held-out
@@ -197,13 +194,15 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     def memory_of(result):
         """The retrieved slots' fusion tokens in retrieval order; one
         memory_tokens call computes those of the slots not yet kept."""
-        if not result.indices:
-            return no_tokens
+        if not result.indices:  # an empty retrieval fuses no tokens
+            return memory_tokens(result.features, result.encodings)
         miss = [i for i, slot in enumerate(result.indices) if slot not in slot_tokens]
         if miss:
             fresh = memory_tokens(result.features[miss], result.encodings[miss])
             for j, i in enumerate(miss):
-                slot_tokens[result.indices[i]] = fresh[j : j + 1]
+                # a copy, not a view of ``fresh``: a replaced slot's rows are
+                # freed when its entry is dropped
+                slot_tokens[result.indices[i]] = fresh[j : j + 1].copy()
         memory = np.concatenate([slot_tokens[slot] for slot in result.indices])
         memory.flags.writeable = False
         return memory

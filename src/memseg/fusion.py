@@ -75,7 +75,10 @@ def fuse(
     cols: slice = slice(None),
 ) -> np.ndarray:
     """Condition embedding_new on the (k, H*W, C) tokens of k retrieved
-    entries, as ``memory_tokens`` returns them.
+    entries, as ``memory_tokens`` returns them.  It checks their shape only,
+    so it trusts their order: each entry's tokens must be in the embedding
+    grid's row-major order, and tokens of a grid with another (H, W) of the
+    same H*W pass unnoticed.
 
     Returns a tensor of the same (C, H, W) shape.  Only the token-grid box
     of ``rows`` and ``cols``, each a non-empty slice of step 1, is
