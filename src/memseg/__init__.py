@@ -40,6 +40,7 @@ from .memory import (
     retrieve_topk,
     save_base,
     stats,
+    tokens_of,
 )
 from .metrics import dice, iou
 from .episode import (

@@ -4,16 +4,16 @@ features via pre-norm cross-attention over the spatial token grid.
 Tokens are the H*W spatial positions with C channels.  Queries are
 LN(E_new) + PE_new tokens; keys and values are the concatenation over
 retrieved entries of LN(F_i) + PE_i tokens, which ``memory_tokens``
-computes apart from ``fuse`` so that a caller can keep an entry's tokens
-for as long as the entry stays unchanged.  Positional encodings are added
-(not concatenated) so the model dim stays C.  The output is the residual
-sum E_new + CrossAttn(...); an empty retrieval (k = 0) returns E_new
-unchanged.  Slices of token-grid rows and columns restrict the queries to
-that box: each query attends to the keys alone, so the tokens computed
-equal the full call's, and the decoder, which reads only the prompt box's
-tokens, sees the same bits.  Both sides normalise a C-ordered copy of
-their tokens, so the output depends on the inputs' values only, never on
-their memory layout.
+computes apart from ``fuse``; the memory base keeps each slot's tokens
+until an insert writes that slot (``memory.tokens_of``).  Positional
+encodings are added (not concatenated) so the model dim stays C.  The
+output is the residual sum E_new + CrossAttn(...); an empty retrieval
+(k = 0) returns E_new unchanged.  Slices of token-grid rows and columns
+restrict the queries to that box: each query attends to the keys alone,
+so the tokens computed equal the full call's, and the decoder, which
+reads only the prompt box's tokens, sees the same bits.  Both sides
+normalise a C-ordered copy of their tokens, so the output depends on the
+inputs' values only, never on their memory layout.
 
 The attention has one head whose projections are fixed gains times the
 identity, so each projection is an exact scalar multiply; the value gain

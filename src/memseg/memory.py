@@ -19,6 +19,10 @@ rounding apart, and the higher one ranks first whatever its slot.
 Confidences are stored raw (logit scale); the sigmoid squash is applied
 only inside the retrieval score, and replacement compares raw values
 (sigmoid is monotone, so either reading agrees).
+
+Retrieval returns slot indices and scores only.  ``tokens_of`` gives the
+slots' fusion tokens, which the base keeps from a slot's first call until
+an insert writes that slot; they are derived, so files never hold them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fusion import memory_tokens
 from .kernels import sigmoid
 
 MAGIC = b"SMB2"
@@ -78,13 +83,10 @@ class MemoryEntry:
 @dataclass
 class RetrievalResult:
     """Selected slots and their combined scores, ordered by non-increasing
-    score, with copies of their mask features and positional encodings as
-    (k, C, H, W) stacks; an empty retrieval has k = 0."""
+    score; an empty retrieval has neither."""
 
     indices: list[int]
     scores: list[float]
-    features: np.ndarray
-    encodings: np.ndarray
 
 
 @dataclass
@@ -106,7 +108,9 @@ class MemoryBase:
     ``embedding_norms[i]`` (the cached L2 norms of its mask feature and
     image embedding) and ``tags[i]``.  Only the first ``len(base)`` rows
     are live; the rest come from ``np.empty`` and take no resident memory
-    until written."""
+    until written.  ``tokens`` maps a slot to its own (1, H*W, C) copy of
+    its fusion tokens: ``tokens_of`` fills it and ``_put`` drops the entry
+    of the slot it writes."""
 
     def __init__(self, capacity: int, feature_shape: tuple[int, int, int]):
         if capacity < 0:
@@ -129,6 +133,7 @@ class MemoryBase:
             np.empty(self.capacity, _F8) for _ in range(4)
         )
         self.tags: list[str] = []
+        self.tokens: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -167,6 +172,7 @@ def _put(base: MemoryBase, i: int, entry: MemoryEntry) -> None:
     base.image_embeddings[i] = entry.image_embedding.reshape(-1)
     base.confidences[i] = entry.y_hat
     base.tags[i : i + 1] = [entry.source_tag]
+    base.tokens.pop(i, None)  # the slot's kept tokens are stale
     _seal(base, i, i + 1)
 
 
@@ -204,21 +210,12 @@ def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndar
     return np.maximum(sims, -1.0, out=sims)
 
 
-def _ranked(base: MemoryBase, slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
+def _ranked(slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
     """The min(k, len(slots)) candidate slots of highest score, exact ties
-    of the computed scores resolved toward the lower slot.  The arrays are
-    copies of the rows, so a later replacement cannot change what the
-    caller holds."""
+    of the computed scores resolved toward the lower slot."""
     # lexsort: primary key -scores ascending (= scores descending), ties by slot
     order = np.lexsort((slots, -scores))[:k]
-    idx = slots[order]
-    shape = (len(idx), *base.feature_shape)
-    return RetrievalResult(
-        indices=idx.tolist(),
-        scores=scores[order].tolist(),
-        features=base.mask_features[idx].reshape(shape),
-        encodings=base.positional_encodings[idx].reshape(shape),
-    )
+    return RetrievalResult(indices=slots[order].tolist(), scores=scores[order].tolist())
 
 
 def retrieve_topk(
@@ -246,7 +243,7 @@ def retrieve_topk(
     )
     if use_confidence:
         scores = scores + base.squashed[:n]
-    return _ranked(base, np.arange(n), scores, k)
+    return _ranked(np.arange(n), scores, k)
 
 
 def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
@@ -260,7 +257,28 @@ def retrieve_random(base: MemoryBase, k: int, rng_seed: int) -> RetrievalResult:
     chosen = np.random.default_rng(rng_seed).choice(n, size=min(k, n), replace=False)
     # no query embedding is involved, so the similarity term is 0 and the
     # reported score is just the squashed confidence
-    return _ranked(base, chosen, base.squashed[chosen], k)
+    return _ranked(chosen, base.squashed[chosen], k)
+
+
+def tokens_of(base: MemoryBase, indices: list[int]) -> np.ndarray:
+    """The read-only (k, H*W, C) fusion tokens of live slots ``indices``, in
+    that order, bit-equal to ``memory_tokens`` of their rows now.  One
+    ``memory_tokens`` call computes those of the slots not yet kept; each
+    is kept as its own copy, so a slot's tokens are freed when ``_put``
+    drops them.  k = 0 gives (0, H*W, C); a slot outside [0, len(base))
+    raises IndexError."""
+    miss = [i for i in indices if i not in base.tokens]
+    if miss:
+        if not all(0 <= i < len(base) for i in miss):
+            raise IndexError(f"slots {miss} are not all in [0, {len(base)})")
+        shape = (len(miss), *base.feature_shape)
+        fresh = memory_tokens(base.mask_features[miss].reshape(shape),
+                              base.positional_encodings[miss].reshape(shape))
+        base.tokens.update((i, fresh[j : j + 1].copy()) for j, i in enumerate(miss))
+    c, h, w = base.feature_shape
+    out = np.concatenate([base.tokens[i] for i in indices] or [np.empty((0, h * w, c))])
+    out.flags.writeable = False
+    return out
 
 
 def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
@@ -376,7 +394,7 @@ def load_base(path) -> MemoryBase:
     """Read a memory file written by save_base; round-trips bit-exactly.
     Each column is checked against the bytes left and read straight into
     the base, so loading holds no file image, and the derived caches are
-    sealed once at the end."""
+    sealed once at the end; it keeps no slot's tokens until ``tokens_of``."""
     with open(path, "rb") as fh:
         r = _Reader(fh)
         magic = r.take(4, "magic")

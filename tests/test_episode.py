@@ -270,15 +270,19 @@ def test_unfilled_capacity_changes_nothing_but_the_capacity(retrieval):
 @pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
 def test_kept_slot_tokens_equal_the_retrieved_rows_tokens(monkeypatch, retrieval):
     """Every step fuses read-only tokens bit-equal to memory_tokens of the
-    rows it retrieved, in an episode that saturates a capacity-4 base: a
-    slot's kept tokens are dropped when an insert replaces it, and
-    replaced slots are retrieved again."""
-    results, fused = [], []
+    rows it retrieved, as they were at retrieval, in an episode that
+    saturates a capacity-4 base: the base drops a slot's kept tokens when
+    an insert replaces it, and replaced slots are retrieved again."""
+    results, wants, fused = [], [], []
     retrieve, insert, fuse = episode._retrieve, episode.insert_or_replace, episode.fuse
     retrieved, stale, revisits = set(), set(), []
 
-    def recording_retrieve(*args):
-        results.append(retrieve(*args))
+    def recording_retrieve(base, *args):
+        results.append(retrieve(base, *args))
+        idx = results[-1].indices
+        shape = (len(idx), *base.feature_shape)
+        wants.append(memory_tokens(base.mask_features[idx].reshape(shape),
+                                   base.positional_encodings[idx].reshape(shape)))
         revisits.extend(stale.intersection(results[-1].indices))
         stale.difference_update(results[-1].indices)
         retrieved.update(results[-1].indices)
@@ -291,7 +295,7 @@ def test_kept_slot_tokens_equal_the_retrieved_rows_tokens(monkeypatch, retrieval
         return outcome
 
     def checking_fuse(e, pe, memory, rows, cols):
-        want = memory_tokens(results[-1].features, results[-1].encodings)
+        want = wants[-1]
         assert memory.shape == want.shape and memory.tobytes() == want.tobytes()
         assert not memory.flags.writeable
         fused.append(len(memory))

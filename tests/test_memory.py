@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memseg import memory
+from memseg.fusion import memory_tokens
 from memseg.kernels import sigmoid
 from memseg.memory import (
     BadMagicError,
@@ -29,10 +30,12 @@ from memseg.memory import (
     retrieve_topk,
     save_base,
     stats,
+    tokens_of,
 )
 from memory_oracle import oracle_topk
 
 SHAPE = (2, 2, 2)
+NO_TOKENS = (0, SHAPE[1] * SHAPE[2], SHAPE[0])  # an empty retrieval's (0, H*W, C) tokens
 
 
 def make_entry(rng, y_hat=None, tag="", shape=SHAPE):
@@ -64,6 +67,13 @@ def base_oracle(base, query, k):
     return oracle_topk(base.image_embeddings[:n], base.confidences[:n], query, k)
 
 
+def rows_tokens(base, indices):
+    """memory_tokens of the slots' rows as they are now."""
+    shape = (len(indices), *base.feature_shape)
+    return memory_tokens(base.mask_features[indices].reshape(shape),
+                         base.positional_encodings[indices].reshape(shape))
+
+
 def slots(base):
     """Every live slot's bytes: the three rows, the confidence and the tag."""
     return [
@@ -86,7 +96,8 @@ def test_new_base_zero_capacity_retrieves_empty():
     base = new_base(0, SHAPE)
     res = retrieve_topk(base, np.ones(SHAPE), 4)
     assert res.indices == [] and res.scores == []
-    assert res.features.shape == res.encodings.shape == (0, *SHAPE)
+    assert tokens_of(base, res.indices).shape == NO_TOKENS
+    assert base.tokens == {}
 
 
 def test_new_base_default_and_small_capacities():
@@ -240,15 +251,17 @@ def test_retrieve_clips_similarity_to_one():
 
 
 def test_retrieved_arrays_survive_replacement_of_their_slot():
+    """Tokens a caller holds keep their bits when their slot is replaced,
+    and the slot's next tokens are the new rows'."""
     rng = np.random.default_rng(26)
     base = fill_base(rng, 1, 1)
     res = retrieve_topk(base, rng.normal(size=SHAPE), 1)
-    feat, enc = res.features[0].copy(), res.encodings[0].copy()
+    held = tokens_of(base, res.indices)
+    before = held.tobytes()
     new = make_entry(rng, y_hat=float(base.confidences[0]) + 1.0)
     assert insert_or_replace(base, new).kind == "replaced"
-    assert np.array_equal(res.features[0], feat)
-    assert np.array_equal(res.encodings[0], enc)
-    assert not np.array_equal(base.mask_features[0], feat.ravel())
+    assert held.tobytes() == before
+    assert tokens_of(base, [0]).tobytes() == rows_tokens(base, [0]).tobytes() != before
 
 
 def test_retrieve_rejects_bad_query_shape():
@@ -314,19 +327,46 @@ def test_retrieve_random_ties_go_to_the_lower_slot():
 
 
 def test_retrieve_random_empty_base_returns_empty_stacks():
-    res = retrieve_random(new_base(5, SHAPE), 3, rng_seed=4)
+    base = new_base(5, SHAPE)
+    res = retrieve_random(base, 3, rng_seed=4)
     assert res.indices == [] and res.scores == []
-    assert res.features.shape == res.encodings.shape == (0, *SHAPE)
+    assert tokens_of(base, res.indices).shape == NO_TOKENS
 
 
 def test_retrieved_stacks_hold_the_selected_rows():
+    """The retrieved slots' tokens are memory_tokens of their rows, in
+    retrieval order, read-only; a second call hands back the kept bits."""
     rng = np.random.default_rng(28)
     base = fill_base(rng, 12, 9)
     for res in (retrieve_topk(base, rng.normal(size=SHAPE), 4), retrieve_random(base, 4, 5)):
-        assert res.features.shape == res.encodings.shape == (4, *SHAPE)
-        for j, i in enumerate(res.indices):
-            assert res.features[j].tobytes() == base.mask_features[i].tobytes()
-            assert res.encodings[j].tobytes() == base.positional_encodings[i].tobytes()
+        for _ in range(2):
+            got = tokens_of(base, res.indices)
+            assert got.shape == (4, *NO_TOKENS[1:]) and not got.flags.writeable
+            assert got.tobytes() == rows_tokens(base, res.indices).tobytes()
+
+
+def test_tokens_of_refuses_slots_that_are_not_live():
+    base = fill_base(np.random.default_rng(29), 4, 2)
+    for bad in ([2], [0, -1]):
+        with pytest.raises(IndexError):
+            tokens_of(base, bad)
+    assert base.tokens == {}
+
+
+def test_tokens_of_computes_only_the_slots_not_kept(monkeypatch):
+    base = fill_base(np.random.default_rng(30), 8, 6)
+    calls = []
+
+    def counting(features, encodings):
+        calls.append(len(features))
+        return memory_tokens(features, encodings)
+
+    monkeypatch.setattr(memory, "memory_tokens", counting)
+    tokens_of(base, [3, 1])
+    tokens_of(base, [1, 5, 3, 0])
+    tokens_of(base, [0, 5])
+    tokens_of(base, [])
+    assert calls == [2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +527,38 @@ def test_insert_sequence_matches_list_model(capacity, inserts):
     assert len(base) == n
     assert base.mask_features[:n].tolist() == [[float(v) for v in g] for g, _ in model]
     assert base.confidences[:n].tolist() == [y for _, y in model]
+
+
+_token_ops = st.one_of(
+    st.tuples(st.just("insert"), st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("tokens"), st.lists(st.integers(0, 7), max_size=5)),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(capacity=st.integers(1, 4), ops=st.lists(_token_ops, max_size=16))
+@example(capacity=1, ops=[("insert", -1.0, 0), ("tokens", [0]), ("insert", 1.0, 1)])
+def test_kept_tokens_follow_every_insert(tmp_path, capacity, ops):
+    """Inserts (replacements too, once the small base is full) interleaved
+    with tokens_of: after every step each kept entry, and so every
+    tokens_of result, is memory_tokens of its slot's live rows; a saved
+    and loaded base gives the same tokens."""
+    base = new_base(capacity, SHAPE)
+    for op in ops:
+        if op[0] == "insert":
+            insert_or_replace(base, make_entry(np.random.default_rng(op[2]), y_hat=op[1]))
+        elif len(base):
+            chosen = [i % len(base) for i in op[1]]
+            assert tokens_of(base, chosen).tobytes() == rows_tokens(base, chosen).tobytes()
+        for i, kept in base.tokens.items():
+            assert kept.tobytes() == rows_tokens(base, [i]).tobytes()
+    live = list(range(len(base)))
+    path = tmp_path / "tokens.smb"
+    save_base(base, path)
+    loaded = load_base(path)
+    assert loaded.tokens == {}
+    assert tokens_of(loaded, live).tobytes() == tokens_of(base, live).tobytes()
 
 
 # ---------------------------------------------------------------------------
