@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gradcheck (adapter-block gradients vs complex-step derivatives),
-simulate (episode runs), ablate (CSV sweep over the memory/retrieval/adapter
-axes), mem-export and mem-import (memory file round-trip).
+simulate (episode runs), ablate (CSV sweep over capacity, retrieval rule and
+adapter), mem-export and mem-import (memory file round-trip).
 
 Exit codes: 0 success, 1 property violation, 2 usage/config error.
 """
@@ -140,17 +140,15 @@ def cmd_simulate(args) -> int:
 # values as given here; the CSV rows run through them sorted.
 ABLATION_AXES = {
     "capacity": (0, 16, 640),
-    "retrieval": ("random", "confidence_similarity"),
+    "retrieval": ("random", "similarity", "confidence_similarity"),
     "adapter": ("on", "off"),
-    "confidence": ("on", "off"),
 }
 
 
 def _ablate_cell(payload):
     cfg, cell = payload
     row = dict(zip(ABLATION_AXES, cell))
-    mem = replace(cfg.memory, capacity=row["capacity"], retrieval=row["retrieval"],
-                  use_confidence=row["confidence"] == "on")
+    mem = replace(cfg.memory, capacity=row["capacity"], retrieval=row["retrieval"])
     settings = replace(cfg.settings, adapter_enabled=row["adapter"] == "on")
     report = run_episode(cfg.tasks(), mem, cfg.seeds, settings)
     row["seeds"] = len(cfg.seeds)
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a config key (repeatable)")
     s.set_defaults(func=cmd_simulate)
 
-    a = sub.add_parser("ablate", help="sweep memory/retrieval/adapter/confidence axes to CSV")
+    a = sub.add_parser("ablate", help="sweep capacity, retrieval rule and adapter to CSV")
     a.add_argument("config", nargs="?", default=None)
     a.add_argument("--out", type=str, default="ablation.csv")
     a.add_argument("--workers", type=int, default=1)

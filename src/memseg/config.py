@@ -60,7 +60,6 @@ KEYS: dict[str, tuple[str, str | None]] = {
     "noise.confidence_miscalibration": ("noise", "confidence_miscalibration"),
     "memory.capacity": ("memory", "capacity"),
     "memory.k": ("memory", "k"),
-    "memory.use_confidence": ("memory", "use_confidence"),
     "retrieval": ("memory", "retrieval"),
     "adapter.enabled": ("settings", "adapter_enabled"),
     "model.seed": ("settings", "model_seed"),

@@ -45,7 +45,8 @@ from .pipeline import (
 )
 from .synth import Frame, NoiseConfig, TaskSpec, gen_frame, preprocess_stream
 
-RETRIEVAL_MODES = ("confidence_similarity", "random")
+# the paper's similarity-plus-confidence rule, similarity alone, a uniform sample
+RETRIEVAL_MODES = ("confidence_similarity", "similarity", "random")
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class MemoryConfig:
     capacity: int = 640
     k: int = 4
     retrieval: str = "confidence_similarity"
-    use_confidence: bool = True
 
     def __post_init__(self):
         if self.capacity < 0:
@@ -134,7 +134,8 @@ def _derive_seed(*parts: int) -> int:
 def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
     if cfg.retrieval == "random":
         return retrieve_random(base, cfg.k, rng_seed=event_seed)
-    return retrieve_topk(base, embedding, cfg.k, use_confidence=cfg.use_confidence)
+    return retrieve_topk(base, embedding, cfg.k,
+                         use_confidence=cfg.retrieval == "confidence_similarity")
 
 
 def build_model(settings: EpisodeSettings):
@@ -216,7 +217,6 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
                 {
                     "frame": tag,
                     "mode": mem_cfg.retrieval,
-                    "use_confidence": mem_cfg.use_confidence,
                     "indices": result.indices,
                     "scores": result.scores,
                 }

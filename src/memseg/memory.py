@@ -125,13 +125,13 @@ class MemoryBase:
             self.mask_features, self.positional_encodings, self.image_embeddings = (
                 np.empty(rows, _F8) for _ in range(3)
             )
-        except ValueError as exc:  # numpy refuses the size before allocating
+            self.confidences, self.squashed, self.feature_norms, self.embedding_norms = (
+                np.empty(self.capacity, _F8) for _ in range(4)
+            )
+        except (ValueError, MemoryError) as exc:  # numpy refuses the size, or malloc fails
             raise ValueError(
                 f"capacity {self.capacity} with feature shape {shape} is too big to allocate"
             ) from exc
-        self.confidences, self.squashed, self.feature_norms, self.embedding_norms = (
-            np.empty(self.capacity, _F8) for _ in range(4)
-        )
         self.tags: list[str] = []
         self.tokens: dict[int, np.ndarray] = {}
 
@@ -226,8 +226,8 @@ def retrieve_topk(
     Descending score order; exact ties of the computed scores resolved
     toward the lower insertion index (identical entries need not tie, see
     the module docstring).  Never mutates the base.  ``use_confidence=False`` drops the
-    squashed-confidence term, ranking by similarity alone (the ablation's
-    plain memory-retrieval variant).
+    squashed-confidence term, ranking by similarity alone: the episode
+    passes it for ``retrieval="similarity"``.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")

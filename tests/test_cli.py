@@ -62,10 +62,10 @@ def test_defaults_come_from_the_dataclasses():
 
 def test_values_parse_by_the_type_of_their_default():
     cfg = load_config(None, {
-        "memory.use_confidence": "off", "seeds": "4 5", "noise.feature_noise_sigma": "2",
+        "adapter.enabled": "off", "seeds": "4 5", "noise.feature_noise_sigma": "2",
         "model.seed": "9", "retrieval": "random",
     })
-    assert cfg.memory.use_confidence is False
+    assert cfg.settings.adapter_enabled is False
     assert cfg.seeds == (4, 5)
     sigma = cfg.noise.feature_noise_sigma
     assert sigma == 2.0 and type(sigma) is float
@@ -83,14 +83,15 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 REMOVED_KEYS = ("fusion.key_gain", "fusion.value_gain", "fusion.out_gain",
-                "model.blocks", "model.heads", "tasks.base_seed")
+                "model.blocks", "model.heads", "tasks.base_seed", "memory.use_confidence")
 
 
 @pytest.mark.parametrize("form", ["set", "shorthand"])
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_config_keys_are_unknown(key, form, tmp_path, capsys):
     # the fusion gains, the block count, the head count and the task base
-    # seed are constants now, so each is an unknown key however it is given
+    # seed are constants now, and the confidence term is the retrieval rule
+    # confidence_similarity, so each is an unknown key however it is given
     override = ["--set", f"{key}=1"] if form == "set" else [f"--{key}", "1"]
     assert main(["simulate", *override, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -226,8 +227,8 @@ def test_ablate_writes_full_grid(tmp_path):
     assert rc == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 24  # 3 capacities x 2 retrievals x 2 adapter x 2 confidence
-    # capacity-0 cells are identical across retrieval and confidence settings
+    assert len(rows) == 18  # 3 capacities x 3 retrieval rules x 2 adapter
+    # capacity-0 cells are identical across the retrieval rules
     zero = [r for r in rows if r["capacity"] == "0"]
     by_adapter = {}
     for r in zero:
@@ -250,8 +251,8 @@ def test_ablate_workers_match_serial_bytewise(tmp_path):
         ]) == 0
     # the bytes are pinned too; regenerate these only with an explained change
     pins = {
-        ".csv": "f64691149fd0c52ddca7a3609b6bcff32c42e4fb8c8fe755c6fef9ee82f7bc2c",
-        ".csv.meta.json": "2a35e50a67eb337aae907c53b9635833870488473c4c2f8076aad4631b80f243",
+        ".csv": "35f0a6393599580e9ee1223cd23048d83cbb0232633828123a5c57412c34811a",
+        ".csv.meta.json": "ef82461651c46a4da758c05e284e3565c55abfdd2f4058924a6778b94dce1661",
     }
     for suffix, digest in pins.items():
         serial = (tmp_path / f"w1{suffix}").read_bytes()
@@ -283,7 +284,7 @@ def test_ablate_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch):
     for workers in ("1", "1000"):
         out = tmp_path / f"w{workers}.csv"
         assert main(["ablate", "--out", str(out), "--workers", workers, *small]) == 0
-    assert asked == [24]  # 3 capacities x 2 retrievals x 2 adapter x 2 confidence
+    assert asked == [18]  # 3 capacities x 3 retrieval rules x 2 adapter
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w1000.csv").read_bytes()
 
 

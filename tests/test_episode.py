@@ -61,27 +61,27 @@ REPORT_SHA256 = {
     "cs640": (
         MemoryConfig(capacity=640),
         0.35,
-        "15050a674e2c81ee464ab0924868e7359462ecc7bfcbd6c02d3deb88f38a8619",
+        "eaef09bc687616e0ebfa5adc9fce65448fa6873197fde7c2ab2a678932164a5b",
     ),
     "cs640-miscalibration0": (
         MemoryConfig(capacity=640),
         0.0,
-        "42c71acbe7a220317f8067ec4f8d781072f2399bfccba6cf85b75c20dd426b8c",
+        "2db70c8e6bcce7876bb2dce130906b6e4e057631b35fc6775375f77cf707a90a",
     ),
     "random640": (
         MemoryConfig(capacity=640, retrieval="random"),
         0.35,
-        "b8d867dc76838d4387469f2a801531b43b6b0fa78b822697f2672698591b0bf5",
+        "8f28adb28c75e8a82cb23ade4d23ab6a6a054cf084172e46fb023c1a1e9f641f",
     ),
     "capacity0": (
         MemoryConfig(capacity=0),
         0.35,
-        "60ab53e628dd3eec072fd762a2520b5f1f3551efe988a171207b4ade881c33ec",
+        "ebe733943905e3fb4fde582d9b704315d85ef20b2051f77a7f2c5663908cceb9",
     ),
     "cs16": (
         MemoryConfig(capacity=16),
         0.35,
-        "2e9421742d9d67e1e1d335fe1ce5a7c5e620c9e809c1cf410225ee01651ed95a",
+        "218266410975c77077f9c2a9cccf1532ff1bec108a5a36debecc3151d7a3e4e5",
     ),
 }
 
@@ -100,9 +100,9 @@ def test_full_report_bytes_match_pin(name):
 
 # sha256 of the cs640 report above at a 2x2 token grid (image_size 8,
 # patch_size 4) with retrieval logs.  Boxes of one token happen there, and
-# fuse widens each to its row; the pin was taken before fuse restricted
-# its queries to the box's columns.
-TINY_GRID_REPORT_SHA256 = "ce8a785eecb52d3671851c33fcbe5c4ae975cfb8cc4d9c01d2ffebe7f20b57f5"
+# fuse widens each to its row; its bytes did not change when fuse
+# restricted its queries to the box's columns.
+TINY_GRID_REPORT_SHA256 = "63e140e70c4933c26f1e035ebc996405478ffe1db5a4d48658af9677241f7ca3"
 
 
 def test_tiny_grid_report_bytes_match_pin(monkeypatch):
@@ -126,10 +126,9 @@ def test_tiny_grid_report_bytes_match_pin(monkeypatch):
 @pytest.mark.parametrize(
     "retrieval, miscalibration, per_step",
     [
-        ("confidence_similarity", 0.0, 0),
-        ("random", 0.0, 1),
-        ("confidence_similarity", 0.35, 1),
-        ("random", 0.35, 1),
+        (retrieval, miscalibration, int(retrieval == "random" or miscalibration > 0))
+        for miscalibration in (0.0, 0.35)
+        for retrieval in episode.RETRIEVAL_MODES
     ],
 )
 def test_event_seeds_derived_only_where_read(monkeypatch, retrieval, miscalibration, per_step):
@@ -155,9 +154,10 @@ def test_event_seeds_derived_only_where_read(monkeypatch, retrieval, miscalibrat
 
 def test_report_schema_well_formed():
     # two tasks, so the first task's forgetting is measured across a later
-    # task's inserts and its sign shows
-    tasks = quick_tasks(2, corrupt=0.3)
-    for retrieval in ("random", "confidence_similarity"):
+    # task's inserts and its sign shows; at feature noise 0.5 similarity
+    # retrieval keeps to each task's own entries and forgets nothing
+    tasks = quick_tasks(2, corrupt=0.3, sigma=1.0)
+    for retrieval in episode.RETRIEVAL_MODES:
         report = run_episode(tasks, MemoryConfig(retrieval=retrieval), [0, 1], FAST)
         assert len(report.per_seed) == 2
         for row in report.per_seed:
@@ -216,7 +216,7 @@ def test_stream_statistics_match_recorded_dice(monkeypatch):
         assert task_row["stream_dsc_std"] > 0.0
 
 
-@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+@pytest.mark.parametrize("retrieval", episode.RETRIEVAL_MODES)
 def test_seed_rows_do_not_depend_on_the_other_seeds(retrieval):
     """A seed's row is the same whichever seeds run before it: no state,
     such as an event counter, carries from one seed to the next."""
@@ -229,7 +229,7 @@ def test_seed_rows_do_not_depend_on_the_other_seeds(retrieval):
     assert pair.per_seed[1] == alone.per_seed[0]
 
 
-@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+@pytest.mark.parametrize("retrieval", episode.RETRIEVAL_MODES)
 def test_miscalibration_without_corruption_changes_nothing(retrieval):
     """Miscalibration perturbs only corrupted frames' confidences, so at
     label_corrupt_prob 0 the predictions and confidences are the same at
@@ -245,7 +245,7 @@ def test_miscalibration_without_corruption_changes_nothing(retrieval):
     assert digest(0.7) == digest(0.0)
 
 
-@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+@pytest.mark.parametrize("retrieval", episode.RETRIEVAL_MODES)
 def test_unfilled_capacity_changes_nothing_but_the_capacity(retrieval):
     """A base that never fills never replaces, so a capacity of the raw
     stream length and one ten times larger report the same, except for
@@ -267,7 +267,7 @@ def test_unfilled_capacity_changes_nothing_but_the_capacity(retrieval):
     assert full == results(10 * frames)
 
 
-@pytest.mark.parametrize("retrieval", ["confidence_similarity", "random"])
+@pytest.mark.parametrize("retrieval", episode.RETRIEVAL_MODES)
 def test_kept_slot_tokens_equal_the_retrieved_rows_tokens(monkeypatch, retrieval):
     """Every step fuses read-only tokens bit-equal to memory_tokens of the
     rows it retrieved, as they were at retrieval, in an episode that
@@ -330,26 +330,19 @@ def test_emptied_volumes_report_zero():
 
 
 def test_digest_ignores_memory_knobs_that_are_never_read():
-    """A capacity-0 base is always empty, so neither the retrieval mode nor
-    the confidence term can reach the predictions; random retrieval never
-    reads the confidence term.  ablate's grid repeats these cells."""
+    """A capacity-0 base is always empty, so the retrieval rule cannot
+    reach the predictions.  ablate's grid repeats these cells."""
     tasks = quick_tasks(2, corrupt=0.2)
 
     def digest(**memory):
         report = run_episode(tasks, MemoryConfig(**memory), [3], FAST)
         return report.per_seed[0]["prediction_digest"]
 
-    zero = {
-        digest(capacity=0, retrieval=retrieval, use_confidence=conf)
-        for retrieval in ("random", "confidence_similarity")
-        for conf in (True, False)
-    }
-    random16 = {
-        digest(capacity=16, retrieval="random", use_confidence=conf) for conf in (True, False)
-    }
+    zero = {digest(capacity=0, retrieval=retrieval) for retrieval in episode.RETRIEVAL_MODES}
+    at16 = {digest(capacity=16, retrieval=retrieval) for retrieval in episode.RETRIEVAL_MODES}
     assert len(zero) == 1
-    assert len(random16) == 1
-    assert zero != random16  # memory does reach the predictions at capacity 16
+    # memory does reach the predictions at capacity 16, and each rule differently
+    assert len(at16) == len(episode.RETRIEVAL_MODES) and not zero & at16
 
 
 def test_episode_deterministic_byte_identical():
@@ -415,24 +408,41 @@ def test_retrieval_log_emitted_when_enabled():
 
 
 def test_confidence_off_scores_are_pure_similarity():
-    # with the confidence term disabled the logged combined scores collapse
-    # to bare cosines, which live in [-1, 1]
+    # without the confidence term the logged scores are bare cosines,
+    # which live in [-1, 1]
     settings = EpisodeSettings(
         volumes_per_task=1, slices_per_volume=4, log_retrievals=True
     )
     tasks = quick_tasks(1)
-    off = run_episode(
-        tasks,
-        MemoryConfig(capacity=640, use_confidence=False),
-        [0],
-        settings,
-    )
+    off = run_episode(tasks, MemoryConfig(capacity=640, retrieval="similarity"), [0], settings)
     for event in off.per_seed[0]["retrieval_log"]:
+        assert event["mode"] == "similarity"
         assert all(-1.0 <= s <= 1.0 for s in event["scores"])
     on = run_episode(tasks, MemoryConfig(capacity=640), [0], settings)
     assert any(
         s > 1.0 for event in on.per_seed[0]["retrieval_log"] for s in event["scores"]
     )
+
+
+# prediction digests of seeds 0 and 1 of the REPORT_SHA256 setup (miscalibration
+# 0.35) with the confidence term off, taken when it was a flag beside
+# confidence_similarity retrieval: similarity retrieval must reproduce them
+SIMILARITY_DIGESTS = {
+    16: ["253f7e3dfe62c366fcfd246fc0d50edd8c8f7a725d3d17ebc4c972ef5d455ccb",
+         "0e0296da8d53689f53187a49495f69c685ca0f9ef1aabfb3a2e8c40f6e7f5401"],
+    640: ["fdd40d99f399d1e913dc8180c5cda4259d012ddd527039529e4f6b42a5fe9a33",
+          "4c56b2b21103de55b3c3e49221e57a11c569763cfbbb49d985f3e69fbc05cd4e"],
+}
+
+
+@pytest.mark.parametrize("capacity", sorted(SIMILARITY_DIGESTS))
+def test_similarity_reproduces_the_flag_off_predictions(capacity):
+    noise = NoiseConfig(
+        label_corrupt_prob=0.3, feature_noise_sigma=1.0, confidence_miscalibration=0.35
+    )
+    mem = MemoryConfig(capacity=capacity, retrieval="similarity")
+    report = run_episode(make_tasks(3, noise), mem, [0, 1])
+    assert [r["prediction_digest"] for r in report.per_seed] == SIMILARITY_DIGESTS[capacity]
 
 
 def test_corrupted_frames_get_lower_confidence():

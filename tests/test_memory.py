@@ -813,8 +813,11 @@ def test_load_version_mismatch(tmp_path):
 @pytest.mark.parametrize("capacity, shape, match", [
     ((1 << 32) - 1, (65535, 65535, 65535),
      r"capacity 4294967295 with feature shape \(65535, 65535, 65535\) is too big"),
+    # 512 PiB a column: numpy attempts it, and no address space can map it
+    ((1 << 32) - 1, (4096, 64, 64),
+     r"capacity 4294967295 with feature shape \(4096, 64, 64\) is too big"),
     (4, (2, 0, 2), r"feature_shape must be three positive extents, got \(2, 0, 2\)"),
-], ids=["too-big-to-allocate", "zero-extent"])
+], ids=["too-big-to-allocate", "allocation-fails", "zero-extent"])
 def test_load_rejects_header_no_base_can_hold(tmp_path, capacity, shape, match):
     path = tmp_path / "h.smb"
     path.write_bytes(b"SMB2" + struct.pack("<6I", 2, capacity, 0, *shape))
