@@ -9,11 +9,12 @@ until an insert writes that slot (``memory.tokens_of``).  Positional
 encodings are added (not concatenated) so the model dim stays C.  The
 output is the residual sum E_new + CrossAttn(...); an empty retrieval
 (k = 0) returns E_new unchanged.  Slices of token-grid rows and columns
-restrict the queries to that box: each query attends to the keys alone,
-so the tokens computed equal the full call's, and the decoder, which
-reads only the prompt box's tokens, sees the same bits.  Both sides
-normalise a C-ordered copy of their tokens, so the output depends on the
-inputs' values only, never on their memory layout.
+restrict the queries to that box: each query's scores and output are its
+own one-row products over the keys, so the tokens computed equal the full
+call's on any BLAS kernel, and the decoder, which reads only the prompt
+box's tokens, sees the same bits.  Both sides normalise a C-ordered copy
+of their tokens, so the output depends on the inputs' values only, never
+on their memory layout.
 
 The attention has one head whose projections are fixed gains times the
 identity, so each projection is an exact scalar multiply; the value gain
@@ -85,11 +86,9 @@ def fuse(
     conditioned; its tokens are layer-normed with the unit affine and get
     pe_new added, and the other tokens are embedding_new's values.  Keys
     and values always span every memory token.  A restricted call equals
-    the full one bitwise on its box as long as the box keeps at least two
-    tokens, since BLAS rounds a one-row product differently; so a one-token
-    box widens to its whole row (a one-column grid's single token still
-    rounds on its own).  With k = 0 the input is returned unchanged
-    (bitwise), which is also the behaviour of a capacity-0 memory.
+    the full one bitwise on its box, one-token boxes included.  With k = 0
+    the input is returned unchanged (bitwise), which is also the behaviour
+    of a capacity-0 memory.
     Non-finite embeddings or encodings raise ValueError; so do non-finite
     memory tokens and overflowing scores, through the scores they make.
     """
@@ -112,8 +111,6 @@ def fuse(
         raise ValueError("fusion embedding or its encoding has non-finite values")
     if not len(mem):
         return e.copy()
-    if (r1 - r0) * (c1 - c0) == 1:
-        c0, c1 = 0, w
 
     grid = e.transpose(1, 2, 0)
     box = (slice(r0, r1), slice(c0, c1))
@@ -123,11 +120,11 @@ def fuse(
     q_box += pe.transpose(1, 2, 0)[box]
     kv = mem.reshape(-1, c)
 
-    # q and kv are C-ordered like a projection matmul's output, so BLAS
-    # rounds as in the kernels' attention under the gains times the identity
-    scores = (q * KEY_GAIN) @ (kv * KEY_GAIN).T
+    # each query token's scores and output are its own one-row products, so
+    # a token's bits do not depend on which other tokens the box holds
+    scores = ((q * KEY_GAIN)[:, None, :] @ (kv * KEY_GAIN).T)[:, 0]
     scores /= math.sqrt(c)
-    out = softmax(scores) @ kv
+    out = (softmax(scores)[:, None, :] @ kv)[:, 0]
     out *= OUT_GAIN
     fused = np.array(grid, order="C")  # C-ordered, like the sum it replaces
     fused[box] += out.reshape(box_shape)

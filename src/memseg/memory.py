@@ -5,16 +5,14 @@ image_embedding) tuples with two retrieval policies and a confidence-gated
 replacement rule:
 
 * top-K retrieval ranks entries by cosine similarity of image embeddings
-  plus the sigmoid-squashed confidence, descending, exact ties of the
-  computed scores broken by lower insertion index;
+  plus the sigmoid-squashed confidence, descending, ties broken by lower
+  insertion index;
 * replacement into a full base evicts the entry whose mask feature is most
   similar to the incoming one, but only when the incoming confidence is
   strictly higher.
 
-A tie is one of the computed scores, not of the entries: BLAS computes the
-matrix-vector rows past the last multiple of four in a separate pass, so
-two identical entries on either side of that boundary can score one
-rounding apart, and the higher one ranks first whatever its slot.
+Each row's cosine is computed from that row alone, so identical entries
+score the same bits wherever they sit in the base, and tie.
 
 Confidences are stored raw (logit scale); the sigmoid squash is applied
 only inside the retrieval score, and replacement compares raw values
@@ -195,24 +193,19 @@ def _seal(base: MemoryBase, lo: int, hi: int) -> None:
 
 
 def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Cosine of each row of mat (whose L2 norms are given) against vec;
-    rows or vec with norm < 1e-12 score 0."""
+    """Cosine of each row of mat (whose L2 norms are given) against vec,
+    each row's dot product computed from that row alone, so a row scores
+    the same wherever it sits in mat; rows or vec with norm < 1e-12 score 0."""
     vn = np.linalg.norm(vec)
-    if vn < 1e-12:
-        return np.zeros(mat.shape[0])
-    ok = norms >= 1e-12
-    if ok.all():
-        sims = mat @ vec / (norms * vn)
-    else:
-        sims = np.zeros(mat.shape[0])
-        sims[ok] = mat[ok] @ vec / (norms[ok] * vn)
+    ok = (norms >= 1e-12) & (vn >= 1e-12)
+    sims = np.divide(np.vecdot(mat, vec), norms * vn, out=np.zeros(len(norms)), where=ok)
     np.minimum(sims, 1.0, out=sims)
     return np.maximum(sims, -1.0, out=sims)
 
 
 def _ranked(slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
-    """The min(k, len(slots)) candidate slots of highest score, exact ties
-    of the computed scores resolved toward the lower slot."""
+    """The min(k, len(slots)) candidate slots of highest score, ties
+    resolved toward the lower slot."""
     # lexsort: primary key -scores ascending (= scores descending), ties by slot
     order = np.lexsort((slots, -scores))[:k]
     return RetrievalResult(indices=slots[order].tolist(), scores=scores[order].tolist())
@@ -223,9 +216,8 @@ def retrieve_topk(
 ) -> RetrievalResult:
     """Select the min(k, len) entries maximizing cos(E_i, E_new) + sigmoid(y_hat_i).
 
-    Descending score order; exact ties of the computed scores resolved
-    toward the lower insertion index (identical entries need not tie, see
-    the module docstring).  Never mutates the base.  ``use_confidence=False`` drops the
+    Descending score order; ties resolved toward the lower insertion
+    index.  Never mutates the base.  ``use_confidence=False`` drops the
     squashed-confidence term, ranking by similarity alone: the episode
     passes it for ``retrieval="similarity"``.
     """
@@ -284,9 +276,8 @@ def tokens_of(base: MemoryBase, indices: list[int]) -> np.ndarray:
 def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
     """Append below capacity; otherwise replace the stored entry whose mask
     feature is most cosine-similar to the new one, but only if its
-    confidence is strictly lower than the new entry's.  Exact ties of the
-    computed similarities go to the lowest insertion index (identical
-    features need not tie, see the module docstring)."""
+    confidence is strictly lower than the new entry's.  Ties of the
+    similarities go to the lowest insertion index."""
     _check_entry(base, new)
     n = len(base)
     if base.capacity == 0:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and run configuration."""
 
 import concurrent.futures
+import csv
 import hashlib
 import inspect
 import json
@@ -216,8 +217,6 @@ def test_bundled_example_config(tmp_path):
 
 
 def test_ablate_writes_full_grid(tmp_path):
-    import csv
-
     out = tmp_path / "abl.csv"
     rc = main([
         "ablate", "--out", str(out),
@@ -242,22 +241,32 @@ def test_ablate_writes_full_grid(tmp_path):
 
 
 def test_ablate_workers_match_serial_bytewise(tmp_path):
-    # the cells cross a process pool as pickled RunConfigs
+    # the cells cross a process pool as pickled RunConfigs; 2 tasks of 10
+    # slices insert 20 entries, so the base holds more than k = 4 entries
+    # from the fifth retrieval on and capacity 16 runs replacement
     for workers in ("1", "2"):
         assert main([
             "ablate", "--out", str(tmp_path / f"w{workers}.csv"), "--workers", workers,
-            "--set", "tasks.count=1", "--set", "seeds=0",
-            "--set", "stream.volumes_per_task=1", "--set", "stream.slices_per_volume=4",
+            "--set", "tasks.count=2", "--set", "seeds=0",
+            "--set", "stream.volumes_per_task=1", "--set", "stream.slices_per_volume=10",
         ]) == 0
     # the bytes are pinned too; regenerate these only with an explained change
     pins = {
-        ".csv": "35f0a6393599580e9ee1223cd23048d83cbb0232633828123a5c57412c34811a",
-        ".csv.meta.json": "ef82461651c46a4da758c05e284e3565c55abfdd2f4058924a6778b94dce1661",
+        ".csv": "3f0baffeb41c9a883a95bf8b9b09e611ee855a2f13f7b43b5deb853c7c6d1489",
+        ".csv.meta.json": "b07aca59e9add917b16a260156a84a2302bd45495aa5a8875c7b40f457e0fa3d",
     }
     for suffix, digest in pins.items():
         serial = (tmp_path / f"w1{suffix}").read_bytes()
         assert serial == (tmp_path / f"w2{suffix}").read_bytes()
         assert hashlib.sha256(serial).hexdigest() == digest
+    # with memory, the three retrieval rules give three distinct rows
+    with open(tmp_path / "w1.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for capacity in ("16", "640"):
+        for adapter in ("off", "on"):
+            numbers = {tuple(list(r.values())[3:]) for r in rows
+                       if r["capacity"] == capacity and r["adapter"] == adapter}
+            assert len(numbers) == 3, (capacity, adapter)
 
 
 def test_ablate_pool_is_capped_at_the_cell_count(tmp_path, monkeypatch):

@@ -151,12 +151,12 @@ def test_retrieve_tie_break_lower_index_first():
     assert res.indices == [0, 1]
 
 
-def test_twins_across_the_matrix_vector_tail_score_within_1e_12():
+def test_twins_across_the_matrix_vector_tail_tie_to_the_lower_slot():
     """Copies of one entry at slots 0 and 4 of a five-entry base straddle
-    the last multiple of four, past which BLAS computes matrix-vector rows
-    in a separate pass: their computed retrieval scores and replacement
-    similarities need not be equal, so only exact ties go to the lower
-    slot, but they agree to within 1e-12."""
+    the last multiple of four, where a BLAS matrix-vector product would
+    start a separate pass.  Each row's dot product is its own, so their
+    retrieval scores and replacement similarities are equal and the tie
+    goes to slot 0; a query near the twin ranks them first."""
     rng = np.random.default_rng(24)
     shape = (16, 8, 8)
     for _ in range(50):
@@ -166,12 +166,29 @@ def test_twins_across_the_matrix_vector_tail_score_within_1e_12():
         for _ in range(3):
             insert_or_replace(base, make_entry(rng, shape=shape))
         insert_or_replace(base, twin)
-        res = retrieve_topk(base, rng.normal(size=shape), 5)
-        score = dict(zip(res.indices, res.scores))
-        assert abs(score[0] - score[4]) <= 1e-12
+        res = retrieve_topk(base, twin.image_embedding + rng.normal(size=shape), 5)
+        assert res.indices[:2] == [0, 4]
+        assert res.scores[0] == res.scores[1]
         sims = memory._cosine_rows(base.mask_features, base.feature_norms,
-                                   rng.normal(size=shape).ravel())
-        assert abs(sims[0] - sims[4]) <= 1e-12
+                                   (twin.mask_feature + rng.normal(size=shape)).ravel())
+        assert sims[0] == sims[4]
+        assert int(np.argmax(sims)) == 0
+
+
+def test_each_cosine_row_scores_as_that_row_alone():
+    """A row's cosine does not depend on the rows beside it, a zero-norm
+    row (which scores 0) included, wherever that row sits."""
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        n, d = int(rng.integers(2, 24)), int(rng.integers(1, 200))
+        mat = rng.normal(size=(n, d))
+        mat[rng.integers(n)] = 0.0
+        norms = np.sqrt(np.add.reduce(mat**2, axis=-1))
+        vec = rng.normal(size=d)
+        sims = memory._cosine_rows(mat, norms, vec)
+        alone = [memory._cosine_rows(mat[i : i + 1], norms[i : i + 1], vec)[0] for i in range(n)]
+        assert sims.tolist() == alone
+        assert (sims[norms == 0] == 0).all()
 
 
 def test_retrieve_matches_oracle_randomized():
