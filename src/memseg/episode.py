@@ -26,6 +26,7 @@ from .fusion import fuse
 from .memory import (
     MemoryBase,
     MemoryEntry,
+    QueryStack,
     insert_or_replace,
     new_base,
     retrieve_random,
@@ -131,10 +132,10 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint32)[0])
 
 
-def _retrieve(base: MemoryBase, embedding, cfg: MemoryConfig, event_seed: int):
+def _retrieve(base: MemoryBase, query, cfg: MemoryConfig, event_seed: int):
     if cfg.retrieval == "random":
         return retrieve_random(base, cfg.k, rng_seed=event_seed)
-    return retrieve_topk(base, embedding, cfg.k,
+    return retrieve_topk(base, query, cfg.k,
                          use_confidence=cfg.retrieval == "confidence_similarity")
 
 
@@ -190,7 +191,7 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
             for frame, enc in zip(frames, encode_stack(frames, blocks, enc_cfg))
         ]
 
-    def step(task, frame, enc, prompt, tag, outcomes=None):
+    def step(task, frame, enc, prompt, query, tag, outcomes=None):
         """retrieve -> fuse -> predict, then insert and count the outcome
         unless ``outcomes`` is None; returns the frame's dice and confidence."""
         e, pe = enc
@@ -199,7 +200,7 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
         # predict's miscalibration draw read its seed
         reads_seed = mem_cfg.retrieval == "random" or task.noise.confidence_miscalibration > 0
         event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
-        result = _retrieve(base, e, mem_cfg, event_seed)
+        result = _retrieve(base, query, mem_cfg, event_seed)
         # predict reads only the prompt box's tokens, so only they are fused
         e_cond = fuse(e, pe, tokens_of(base, result.indices), *prompt_tokens(prompt, enc_cfg))
         mask_hat, y_hat = predict(
@@ -232,11 +233,21 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
             outcomes[insert_or_replace(base, entry).kind] += 1
         return dice(mask_hat, frame.mask), y_hat
 
-    def evaluate(task, held_out) -> float:
-        values = [
-            step(task, frame, enc, prompt, f"eval/task{task.task_id}/s{frame.slice_index}")[0]
-            for frame, enc, prompt in held_out
+    def run_pass(task, volume, prefix, outcomes=None):
+        """One step per frame of an encoded volume, (dice, confidence) each.
+        Top-K retrieval scores the volume's embeddings as one stack, which
+        each step reads through its frame's handle."""
+        stack = None
+        if mem_cfg.retrieval != "random":
+            stack = QueryStack([e for _, (e, _), _ in volume])
+        return [
+            step(task, frame, enc, prompt, stack and stack[j],
+                 f"{prefix}/s{frame.slice_index}", outcomes)
+            for j, (frame, enc, prompt) in enumerate(volume)
         ]
+
+    def evaluate(task, held_out) -> float:
+        values = [d for d, _ in run_pass(task, held_out, f"eval/task{task.task_id}")]
         return float(np.mean(values)) if values else 0.0
 
     per_task: list[dict] = []
@@ -245,10 +256,10 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
     for task in tasks:
         outcomes = dict.fromkeys(("appended", "replaced", "rejected"), 0)
         streamed = [
-            step(task, frame, enc, prompt, f"task{task.task_id}/v{v}/s{frame.slice_index}",
-                 outcomes)
+            result
             for v in range(settings.volumes_per_task)
-            for frame, enc, prompt in encoded(task, v, eval_split=False)
+            for result in run_pass(task, encoded(task, v, eval_split=False),
+                                   f"task{task.task_id}/v{v}", outcomes)
         ]
         # preprocessing can drop every frame of a small volume: an empty
         # stream or held-out volume reports 0.0

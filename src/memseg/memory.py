@@ -12,7 +12,11 @@ replacement rule:
   strictly higher.
 
 Each row's cosine is computed from that row alone, so identical entries
-score the same bits wherever they sit in the base, and tie.
+score the same bits wherever they sit in the base, and tie.  A cosine is
+one (row, query) dot product whether its query is scored alone or in a
+``QueryStack`` with the rest of its volume: a stack's first read scores
+every live row against all its queries in one pass, so each row is read
+once, and its later reads re-score only the slots ``_put`` wrote since.
 
 Confidences are stored raw (logit scale); the sigmoid squash is applied
 only inside the retrieval score, and replacement compares raw values
@@ -20,7 +24,9 @@ only inside the retrieval score, and replacement compares raw values
 
 Retrieval returns slot indices and scores only.  ``tokens_of`` gives the
 slots' fusion tokens, which the base keeps from a slot's first call until
-an insert writes that slot; they are derived, so files never hold them.
+an insert writes that slot.  Besides them, ``_put`` resets one more piece
+of a slot's derived state, its write mark, which tells stacks to re-score
+it.  Both are derived, so files never hold them.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +113,13 @@ class MemoryBase:
     ``embedding_norms[i]`` (the cached L2 norms of its mask feature and
     image embedding) and ``tags[i]``.  Only the first ``len(base)`` rows
     are live; the rest come from ``np.empty`` and take no resident memory
-    until written.  ``tokens`` maps a slot to its own (1, H*W, C) copy of
-    its fusion tokens: ``tokens_of`` fills it and ``_put`` drops the entry
-    of the slot it writes."""
+    until written.  Two kinds of per-slot state are derived and never
+    saved, and ``_put`` resets both for the slot it writes: ``tokens`` maps
+    a slot to its own (1, H*W, C) copy of its fusion tokens, which
+    ``tokens_of`` fills and ``_put`` drops, and ``marks[i]`` is the value of
+    ``writes``, the base's count of ``_put`` calls, when slot i was last
+    written, so a ``QueryStack`` re-scores the slots marked after its last
+    read."""
 
     def __init__(self, capacity: int, feature_shape: tuple[int, int, int]):
         if capacity < 0:
@@ -126,12 +137,14 @@ class MemoryBase:
             self.confidences, self.squashed, self.feature_norms, self.embedding_norms = (
                 np.empty(self.capacity, _F8) for _ in range(4)
             )
+            self.marks = np.zeros(self.capacity, np.int64)
         except (ValueError, MemoryError) as exc:  # numpy refuses the size, or malloc fails
             raise ValueError(
                 f"capacity {self.capacity} with feature shape {shape} is too big to allocate"
             ) from exc
         self.tags: list[str] = []
         self.tokens: dict[int, np.ndarray] = {}
+        self.writes = 0
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -171,6 +184,8 @@ def _put(base: MemoryBase, i: int, entry: MemoryEntry) -> None:
     base.confidences[i] = entry.y_hat
     base.tags[i : i + 1] = [entry.source_tag]
     base.tokens.pop(i, None)  # the slot's kept tokens are stale
+    base.writes += 1
+    base.marks[i] = base.writes  # and so are the stacks' cosines of it
     _seal(base, i, i + 1)
 
 
@@ -193,14 +208,69 @@ def _seal(base: MemoryBase, lo: int, hi: int) -> None:
 
 
 def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Cosine of each row of mat (whose L2 norms are given) against vec,
-    each row's dot product computed from that row alone, so a row scores
-    the same wherever it sits in mat; rows or vec with norm < 1e-12 score 0."""
-    vn = np.linalg.norm(vec)
+    """Cosine of each row of mat (whose L2 norms are given) against vec, or
+    against each row of a 2-D vec as a (len(mat), len(vec)) array.  Each
+    (row, query) dot product is computed from that row and query alone, so
+    a row scores the same wherever it sits in mat and whatever queries it
+    is scored with; rows or queries with norm < 1e-12 score 0."""
+    vn = np.sqrt(np.vecdot(vec, vec))  # bit-equal to np.linalg.norm of each query
+    if vec.ndim == 2:
+        mat, norms = mat[:, None, :], norms[:, None]
     ok = (norms >= 1e-12) & (vn >= 1e-12)
-    sims = np.divide(np.vecdot(mat, vec), norms * vn, out=np.zeros(len(norms)), where=ok)
+    sims = np.divide(np.vecdot(mat, vec), norms * vn, out=np.zeros(ok.shape), where=ok)
     np.minimum(sims, 1.0, out=sims)
     return np.maximum(sims, -1.0, out=sims)
+
+
+class QueryStack:
+    """Query embeddings that are scored against a base together, such as
+    the frames of one volume; ``stack[j]`` is the handle of query j that
+    ``retrieve_topk`` takes.
+
+    The first read against a base scores all its live image embeddings
+    against every query with one (row, query) ``np.vecdot``, so each row
+    is read once for the whole stack.  Later reads of the same base
+    re-score only the slots whose write mark is newer than the last read:
+    the rows appended or replaced since.  Every column is therefore
+    bit-equal to ``_cosine_rows`` of the base as it is at that read.  The
+    cosines fill a (capacity, queries) array, allocated on first read."""
+
+    def __init__(self, embeddings):
+        queries = np.asarray(embeddings, dtype=np.float64)
+        self.shape = tuple(queries.shape[1:])
+        self.rows = queries.reshape(len(queries), math.prod(self.shape))
+        self.base: MemoryBase | None = None
+        self.cosines: np.ndarray | None = None
+        self.seen = 0  # base.writes at the last read
+
+    def __getitem__(self, j: int) -> Query:
+        return Query(self, j)
+
+    def read(self, base: MemoryBase) -> np.ndarray:
+        """The (len(base), queries) cosines of the base's live rows now."""
+        n = len(base)
+        if base is not self.base:
+            if self.shape != base.feature_shape:
+                raise ValueError(f"query shape {self.shape} does not conform to"
+                                 f" base feature_shape {base.feature_shape}")
+            self.base, self.cosines = base, np.empty((base.capacity, len(self.rows)))
+            stale = slice(0, n)
+        elif base.writes > self.seen:
+            stale = np.flatnonzero(base.marks[:n] > self.seen)
+        else:  # nothing written since the last read
+            return self.cosines[:n]
+        self.seen = base.writes
+        self.cosines[stale] = _cosine_rows(
+            base.image_embeddings[stale], base.embedding_norms[stale], self.rows
+        )
+        return self.cosines[:n]
+
+
+class Query(NamedTuple):
+    """Query j of a stack."""
+
+    stack: QueryStack
+    j: int
 
 
 def _ranked(slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
@@ -212,10 +282,12 @@ def _ranked(slots: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
 
 
 def retrieve_topk(
-    base: MemoryBase, embedding_new: np.ndarray, k: int, use_confidence: bool = True
+    base: MemoryBase, query: np.ndarray | Query, k: int, use_confidence: bool = True
 ) -> RetrievalResult:
     """Select the min(k, len) entries maximizing cos(E_i, E_new) + sigmoid(y_hat_i).
 
+    ``query`` is a (C, H, W) embedding, scored as a stack of one, or the
+    handle of a ``QueryStack``'s query; both give the same bits.
     Descending score order; ties resolved toward the lower insertion
     index.  Never mutates the base.  ``use_confidence=False`` drops the
     squashed-confidence term, ranking by similarity alone: the episode
@@ -223,16 +295,10 @@ def retrieve_topk(
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    embedding_new = np.asarray(embedding_new, dtype=np.float64)
-    if tuple(embedding_new.shape) != base.feature_shape:
-        raise ValueError(
-            f"query shape {tuple(embedding_new.shape)} does not conform to"
-            f" base feature_shape {base.feature_shape}"
-        )
+    if not isinstance(query, Query):
+        query = QueryStack([query])[0]
     n = len(base)
-    scores = _cosine_rows(
-        base.image_embeddings[:n], base.embedding_norms[:n], embedding_new.ravel()
-    )
+    scores = query.stack.read(base)[:, query.j]
     if use_confidence:
         scores = scores + base.squashed[:n]
     return _ranked(np.arange(n), scores, k)
