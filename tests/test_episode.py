@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memseg import episode
+from memseg import episode, memory
 from memseg.episode import (
     EpisodeSettings,
     MemoryConfig,
@@ -317,6 +317,20 @@ def test_kept_slot_tokens_equal_the_retrieved_rows_tokens(monkeypatch, retrieval
     assert len(fused) == len(results) and max(fused) == 4
     assert sum(snap["replaced"] for snap in row["memory_snapshots"]) > 0
     assert revisits  # a replaced slot's stale tokens would have been fused
+
+
+def test_random_retrieval_builds_no_query_stack(monkeypatch):
+    """A query stack serves only top-K retrieval: a random-retrieval
+    episode never builds one, while a similarity episode, under the same
+    patch, does."""
+    def refuse(self, embeddings):
+        raise AssertionError("a query stack was built")
+
+    monkeypatch.setattr(memory.QueryStack, "__init__", refuse)
+    tasks = quick_tasks()
+    run_episode(tasks, MemoryConfig(capacity=4, retrieval="random"), [0], FAST)
+    with pytest.raises(AssertionError, match="query stack"):
+        run_episode(tasks, MemoryConfig(capacity=4, retrieval="similarity"), [0], FAST)
 
 
 def test_emptied_volumes_report_zero():

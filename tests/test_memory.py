@@ -19,6 +19,7 @@ from memseg.memory import (
     BadMagicError,
     MemoryEntry,
     MemoryFileError,
+    QueryStack,
     ShapeInconsistencyError,
     TruncatedFileError,
     VersionMismatchError,
@@ -177,7 +178,9 @@ def test_twins_across_the_matrix_vector_tail_tie_to_the_lower_slot():
 
 def test_each_cosine_row_scores_as_that_row_alone():
     """A row's cosine does not depend on the rows beside it, a zero-norm
-    row (which scores 0) included, wherever that row sits."""
+    row (which scores 0) included, wherever that row sits, nor on the
+    queries it is scored with: each column of a stack of queries, a zero
+    query among them, is that query's own call."""
     rng = np.random.default_rng(25)
     for _ in range(200):
         n, d = int(rng.integers(2, 24)), int(rng.integers(1, 200))
@@ -189,6 +192,10 @@ def test_each_cosine_row_scores_as_that_row_alone():
         alone = [memory._cosine_rows(mat[i : i + 1], norms[i : i + 1], vec)[0] for i in range(n)]
         assert sims.tolist() == alone
         assert (sims[norms == 0] == 0).all()
+        vecs = rng.normal(size=(int(rng.integers(1, 9)), d))
+        vecs[rng.integers(len(vecs))] = 0.0
+        stacked = memory._cosine_rows(mat, norms, vecs)
+        assert stacked.T.tolist() == [memory._cosine_rows(mat, norms, v).tolist() for v in vecs]
 
 
 def test_retrieve_matches_oracle_randomized():
@@ -291,6 +298,80 @@ def test_retrieve_rejects_nonpositive_k():
     base = new_base(4, SHAPE)
     with pytest.raises(ValueError):
         retrieve_topk(base, np.zeros(SHAPE), 0)
+
+
+# ---------------------------------------------------------------------------
+# query stacks
+
+
+# ("read", query), ("insert", confidence, entry seed, query it copies or -1),
+# ("reload",): save the base and go on with the loaded copy
+_stack_ops = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 3)),
+    st.tuples(st.just("insert"), st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1),
+              st.integers(-1, 3)),
+    st.tuples(st.just("reload")),
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(capacity=st.integers(0, 4),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)),
+       queries=st.integers(1, 4), ops=st.lists(_stack_ops, max_size=16))
+@example(capacity=1, shape=SHAPE, queries=2,
+         ops=[("read", 0), ("insert", 0.0, 1, -1), ("read", 1), ("insert", 3.0, 2, 0),
+              ("read", 0), ("insert", -3.0, 3, 1), ("read", 1), ("reload",), ("read", 0)])
+def test_stack_reads_equal_lone_queries(tmp_path, capacity, shape, queries, ops):
+    """Reads through one query stack, interleaved with appended, replaced
+    and rejected inserts and carried over to a saved and loaded copy of the
+    base, give what retrieving each query alone gives: the same indices and
+    the same repr of every score, with and without the confidence term.
+    The last query of four is zero, and inserts may copy a query."""
+    rng = np.random.default_rng(queries)
+    embeddings = rng.normal(size=(queries, *shape))
+    embeddings[3:] = 0.0
+    stack = QueryStack(embeddings)
+    base = new_base(capacity, shape)
+    for op in ops:
+        if op[0] == "read":
+            j = op[1] % queries
+            for use_confidence in (True, False):
+                got = retrieve_topk(base, stack[j], max(capacity, 1), use_confidence)
+                want = retrieve_topk(base, embeddings[j], max(capacity, 1), use_confidence)
+                assert got.indices == want.indices
+                assert list(map(repr, got.scores)) == list(map(repr, want.scores))
+        elif op[0] == "insert":
+            entry = make_entry(np.random.default_rng(op[2]), y_hat=op[1], shape=shape)
+            if op[3] >= 0:
+                entry.image_embedding = embeddings[op[3] % queries].copy()
+            insert_or_replace(base, entry)
+        else:
+            save_base(base, tmp_path / "stack.smb")
+            base = load_base(tmp_path / "stack.smb")
+
+
+def test_a_stack_rescores_the_slot_an_insert_wrote_between_its_reads():
+    """Slot 2 holds the query's opposite, so the first read ranks it last.
+    The insert between the reads overwrites it with the query itself and a
+    high confidence, so the second read must rank it first: a stack that
+    kept slot 2's old cosine would still rank it last."""
+    rng = np.random.default_rng(29)
+    query = rng.normal(size=SHAPE)
+    base = new_base(4, SHAPE)
+    for i in range(4):
+        e = -query if i == 2 else rng.normal(size=SHAPE)
+        insert_or_replace(base, MemoryEntry(rng.normal(size=SHAPE), rng.normal(size=SHAPE), 0.0, e))
+    stack = QueryStack([rng.normal(size=SHAPE), query])
+    assert retrieve_topk(base, stack[1], 4, use_confidence=False).indices[-1] == 2
+    new = MemoryEntry(base.mask_features[2].reshape(SHAPE).copy(), rng.normal(size=SHAPE),
+                      5.0, query.copy())
+    out = insert_or_replace(base, new)
+    assert (out.kind, out.index) == ("replaced", 2)
+    for use_confidence in (False, True):
+        res = retrieve_topk(base, stack[1], 4, use_confidence)
+        assert res.indices[0] == 2
+        assert res.scores == retrieve_topk(base, query, 4, use_confidence).scores
 
 
 # ---------------------------------------------------------------------------
