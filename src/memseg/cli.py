@@ -21,7 +21,7 @@ import numpy as np
 
 from .adapter import block_params, grad_check
 from .config import KEYS, ConfigError, load_config, parse_override_pairs
-from .episode import run_episode
+from .episode import RETRIEVAL_MODES, run_episode
 from .memory import (
     MemoryEntry,
     MemoryFileError,
@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
 # values as given here; the CSV rows run through them sorted.
 ABLATION_AXES = {
     "capacity": (0, 16, 640),
-    "retrieval": ("random", "similarity", "confidence_similarity"),
+    "retrieval": RETRIEVAL_MODES,
     "adapter": ("on", "off"),
 }
 
@@ -200,27 +200,17 @@ def cmd_ablate(args) -> int:
 # memory file round-trip
 
 
-def _random_entry(rng, shape, tag=""):
-    f, pe, y = rng.normal(size=shape), rng.normal(size=shape), float(rng.normal())
-    return MemoryEntry(f, pe, y, rng.normal(size=shape), source_tag=tag)
-
-
-def _random_base(rng, capacity, count, shape, tag_prefix=""):
-    """A base of count random entries, each tagged tag_prefix + its index."""
-    base = new_base(capacity, shape)
-    for i in range(count):
-        insert_or_replace(base, _random_entry(rng, shape, f"{tag_prefix}{i}"))
-    return base
-
-
 def cmd_mem_export(args) -> int:
     if args.count < 0:
         print(f"mem-export: --count must be >= 0, got {args.count}", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
-    count = min(args.count, args.capacity)
+    shape = tuple(args.shape)
     try:
-        base = _random_base(rng, args.capacity, count, tuple(args.shape), tag_prefix="export/")
+        base = new_base(args.capacity, shape)
+        for i in range(min(args.count, args.capacity)):  # each entry draws F, PE, y, then E
+            f, pe, y = rng.normal(size=shape), rng.normal(size=shape), rng.normal()
+            insert_or_replace(base, MemoryEntry(f, pe, y, rng.normal(size=shape), f"export/{i}"))
         save_base(base, args.out)
     except (OSError, MemoryError, ValueError) as exc:
         print(f"mem-export: {exc}", file=sys.stderr)

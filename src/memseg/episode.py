@@ -24,7 +24,6 @@ import numpy as np
 from .adapter import block_params
 from .fusion import fuse
 from .memory import (
-    MemoryBase,
     MemoryEntry,
     QueryStack,
     insert_or_replace,
@@ -46,8 +45,9 @@ from .pipeline import (
 )
 from .synth import Frame, NoiseConfig, TaskSpec, gen_frame, preprocess_stream
 
-# the paper's similarity-plus-confidence rule, similarity alone, a uniform sample
-RETRIEVAL_MODES = ("confidence_similarity", "similarity", "random")
+# a uniform sample, similarity alone, the paper's similarity-plus-confidence rule;
+# ablate sweeps them all
+RETRIEVAL_MODES = ("random", "similarity", "confidence_similarity")
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,6 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint32)[0])
 
 
-def _retrieve(base: MemoryBase, query, cfg: MemoryConfig, event_seed: int):
-    if cfg.retrieval == "random":
-        return retrieve_random(base, cfg.k, rng_seed=event_seed)
-    return retrieve_topk(base, query, cfg.k,
-                         use_confidence=cfg.retrieval == "confidence_similarity")
-
-
 def build_model(settings: EpisodeSettings):
     """A run's encoder geometry and its one block (two heads); ValueError
     if inconsistent."""
@@ -173,14 +166,19 @@ def _volume(task: TaskSpec, settings: EpisodeSettings, seed: int, volume: int,
 
 
 def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int) -> dict:
-    """One seed's episode.  Each volume is encoded when it is reached; each
-    frame is retrieved for, fused, predicted and inserted.  Evaluation is
-    the same step without the insert, so it leaves the memory unchanged."""
+    """One seed's episode.  Each volume is encoded when it is reached, then
+    ``run_pass`` is the one loop over its frames: each is retrieved for,
+    fused, predicted and inserted.  The rule is read once per seed, and
+    whether a pass builds a query stack and reads event seeds is decided
+    once per pass, not per frame.  Evaluation is the same pass without the
+    insert, so it leaves the memory unchanged."""
     enc_cfg, blocks = build_model(settings)
     base = new_base(mem_cfg.capacity, enc_cfg.feature_shape)
     events = itertools.count(1)
     digest = hashlib.sha256()
     retrieval_log: list[dict] = []
+    random_rule = mem_cfg.retrieval == "random"
+    use_confidence = mem_cfg.retrieval == "confidence_similarity"
 
     def encoded(task, volume, eval_split):
         """(frame, (E, PE), box prompt) per frame of one volume; a held-out
@@ -191,60 +189,57 @@ def _run_seed(tasks, mem_cfg: MemoryConfig, settings: EpisodeSettings, seed: int
             for frame, enc in zip(frames, encode_stack(frames, blocks, enc_cfg))
         ]
 
-    def step(task, frame, enc, prompt, query, tag, outcomes=None):
-        """retrieve -> fuse -> predict, then insert and count the outcome
-        unless ``outcomes`` is None; returns the frame's dice and confidence."""
-        e, pe = enc
-        event = next(events)
-        # every step takes an event number, but only random retrieval and
-        # predict's miscalibration draw read its seed
-        reads_seed = mem_cfg.retrieval == "random" or task.noise.confidence_miscalibration > 0
-        event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
-        result = _retrieve(base, query, mem_cfg, event_seed)
-        # predict reads only the prompt box's tokens, so only they are fused
-        e_cond = fuse(e, pe, tokens_of(base, result.indices), *prompt_tokens(prompt, enc_cfg))
-        mask_hat, y_hat = predict(
-            e_cond,
-            prompt,
-            frame,
-            enc_cfg,
-            miscalibration=task.noise.confidence_miscalibration,
-            rng_seed=event_seed,
-        )
-        digest.update(mask_hat.tobytes())
-        digest.update(repr(y_hat).encode())
-        if settings.log_retrievals and result.indices:  # an empty base logs nothing
-            retrieval_log.append(
-                {
-                    "frame": tag,
-                    "mode": mem_cfg.retrieval,
-                    "indices": result.indices,
-                    "scores": result.scores,
-                }
-            )
-        if outcomes is not None:
-            entry = MemoryEntry(
-                mask_feature=mask_feature(frame.mask, enc_cfg),
-                positional_encoding=pe,
-                y_hat=y_hat,
-                image_embedding=e,
-                source_tag=tag,
-            )
-            outcomes[insert_or_replace(base, entry).kind] += 1
-        return dice(mask_hat, frame.mask), y_hat
-
     def run_pass(task, volume, prefix, outcomes=None):
-        """One step per frame of an encoded volume, (dice, confidence) each.
-        Top-K retrieval scores the volume's embeddings as one stack, which
-        each step reads through its frame's handle."""
-        stack = None
-        if mem_cfg.retrieval != "random":
-            stack = QueryStack([e for _, (e, _), _ in volume])
-        return [
-            step(task, frame, enc, prompt, stack and stack[j],
-                 f"{prefix}/s{frame.slice_index}", outcomes)
-            for j, (frame, enc, prompt) in enumerate(volume)
-        ]
+        """The loop over an encoded volume's frames: retrieve -> fuse ->
+        predict, then insert and count the outcome unless ``outcomes`` is
+        None; returns (dice, confidence) per frame.  Top-K retrieval scores
+        the volume's embeddings as one stack, read through each frame's
+        handle; random retrieval builds none."""
+        # every frame takes an event number, but only random retrieval and
+        # predict's miscalibration draw read its seed
+        reads_seed = random_rule or task.noise.confidence_miscalibration > 0
+        stack = None if random_rule else QueryStack([e for _, (e, _), _ in volume])
+        results = []
+        for j, (frame, (e, pe), prompt) in enumerate(volume):
+            tag = f"{prefix}/s{frame.slice_index}"
+            event = next(events)
+            event_seed = _derive_seed(seed, 0x5EED, event) if reads_seed else 0
+            if random_rule:
+                result = retrieve_random(base, mem_cfg.k, rng_seed=event_seed)
+            else:
+                result = retrieve_topk(base, stack[j], mem_cfg.k, use_confidence=use_confidence)
+            # predict reads only the prompt box's tokens, so only they are fused
+            e_cond = fuse(e, pe, tokens_of(base, result.indices), *prompt_tokens(prompt, enc_cfg))
+            mask_hat, y_hat = predict(
+                e_cond,
+                prompt,
+                frame,
+                enc_cfg,
+                miscalibration=task.noise.confidence_miscalibration,
+                rng_seed=event_seed,
+            )
+            digest.update(mask_hat.tobytes())
+            digest.update(repr(y_hat).encode())
+            if settings.log_retrievals and result.indices:  # an empty base logs nothing
+                retrieval_log.append(
+                    {
+                        "frame": tag,
+                        "mode": mem_cfg.retrieval,
+                        "indices": result.indices,
+                        "scores": result.scores,
+                    }
+                )
+            if outcomes is not None:
+                entry = MemoryEntry(
+                    mask_feature=mask_feature(frame.mask, enc_cfg),
+                    positional_encoding=pe,
+                    y_hat=y_hat,
+                    image_embedding=e,
+                    source_tag=tag,
+                )
+                outcomes[insert_or_replace(base, entry).kind] += 1
+            results.append((dice(mask_hat, frame.mask), y_hat))
+        return results
 
     def evaluate(task, held_out) -> float:
         values = [d for d, _ in run_pass(task, held_out, f"eval/task{task.task_id}")]

@@ -12,11 +12,13 @@ replacement rule:
   strictly higher.
 
 Each row's cosine is computed from that row alone, so identical entries
-score the same bits wherever they sit in the base, and tie.  A cosine is
-one (row, query) dot product whether its query is scored alone or in a
-``QueryStack`` with the rest of its volume: a stack's first read scores
-every live row against all its queries in one pass, so each row is read
-once, and its later reads re-score only the slots ``_put`` wrote since.
+score the same bits wherever they sit in the base, and tie.  A query is
+always a stack: a lone query, such as an insert's mask feature, is a
+stack of one, and a ``QueryStack`` holds the rest of a volume's queries
+beside it.  A cosine is one (row, query) dot product either way.  A
+stack's first read scores every live row against all its queries in one
+pass, so each row is read once, and its later reads re-score only the
+slots ``_put`` wrote since.
 
 Confidences are stored raw (logit scale); the sigmoid squash is applied
 only inside the retrieval score, and replacement compares raw values
@@ -195,29 +197,26 @@ def _seal(base: MemoryBase, lo: int, hi: int) -> None:
     Many slots are normed in blocks of rows whose squares fill about
     _SEAL_BYTES, so sealing a whole loaded base stays in a few MiB."""
     base.squashed[lo:hi] = sigmoid(base.confidences[lo:hi])
-    if hi - lo == 1:  # an insert: one row, indexed, costs less than a slice
-        blocks = [lo]
-    else:
-        step = max(1, _SEAL_BYTES // (_F8.itemsize * math.prod(base.feature_shape)))
-        blocks = [slice(b, min(b + step, hi)) for b in range(lo, hi, step)]
+    step = max(1, _SEAL_BYTES // (_F8.itemsize * math.prod(base.feature_shape)))
     for rows, norms in ((base.mask_features, base.feature_norms),
                         (base.image_embeddings, base.embedding_norms)):
-        for rows_at in blocks:
+        for b in range(lo, hi, step):  # an insert's one row is one block
+            at = slice(b, min(b + step, hi))
             # sqrt(add.reduce(r**2)) is bit-identical to np.linalg.norm(rows, axis=1)
-            norms[rows_at] = np.sqrt(np.add.reduce(rows[rows_at] ** 2, axis=-1))
+            norms[at] = np.sqrt(np.add.reduce(rows[at] ** 2, axis=-1))
 
 
-def _cosine_rows(mat: np.ndarray, norms: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Cosine of each row of mat (whose L2 norms are given) against vec, or
-    against each row of a 2-D vec as a (len(mat), len(vec)) array.  Each
-    (row, query) dot product is computed from that row and query alone, so
-    a row scores the same wherever it sits in mat and whatever queries it
-    is scored with; rows or queries with norm < 1e-12 score 0."""
-    vn = np.sqrt(np.vecdot(vec, vec))  # bit-equal to np.linalg.norm of each query
-    if vec.ndim == 2:
-        mat, norms = mat[:, None, :], norms[:, None]
-    ok = (norms >= 1e-12) & (vn >= 1e-12)
-    sims = np.divide(np.vecdot(mat, vec), norms * vn, out=np.zeros(ok.shape), where=ok)
+def _cosine_rows(mat: np.ndarray, norms: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Cosine of each row of mat (whose L2 norms are given) against each
+    row of the 2-D query stack, as a (len(mat), len(queries)) array; one
+    query is a stack of one.  Each (row, query) dot product is computed
+    from that row and query alone, so a row scores the same wherever it
+    sits in mat and whatever queries it is scored with; rows or queries
+    with norm < 1e-12 score 0."""
+    qn = np.sqrt(np.vecdot(queries, queries))  # bit-equal to np.linalg.norm of each query
+    mat, norms = mat[:, None, :], norms[:, None]
+    ok = (norms >= 1e-12) & (qn >= 1e-12)
+    sims = np.divide(np.vecdot(mat, queries), norms * qn, out=np.zeros(ok.shape), where=ok)
     np.minimum(sims, 1.0, out=sims)
     return np.maximum(sims, -1.0, out=sims)
 
@@ -351,8 +350,8 @@ def insert_or_replace(base: MemoryBase, new: MemoryEntry) -> ReplaceOutcome:
     if n < base.capacity:
         _put(base, n, new)
         return ReplaceOutcome(kind="appended", index=n)
-    sims = _cosine_rows(base.mask_features, base.feature_norms, new.mask_feature.ravel())
-    i_star = int(np.argmax(sims))  # argmax takes the first (lowest-index) max
+    sims = _cosine_rows(base.mask_features, base.feature_norms, new.mask_feature.reshape(1, -1))
+    i_star = int(np.argmax(sims[:, 0]))  # argmax takes the first (lowest-index) max
     old_confidence = float(base.confidences[i_star])
     if old_confidence < new.y_hat:
         _put(base, i_star, new)

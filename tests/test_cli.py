@@ -324,6 +324,25 @@ def test_mem_round_trip_of_part_filled_and_empty_bases(tmp_path, capsys, capacit
     assert f"{count}/{capacity} entries" in capsys.readouterr().out
 
 
+# sha256 of the files mem-export writes at capacity 640, shape 16 8 8 and
+# seed 3: they hold the draw order of each entry (F, PE, confidence, E) and
+# the tags export/<i>, not only the round trip.  Regenerate these only with
+# an explained change.
+MEM_EXPORT_SHA256 = {
+    100: "ca2e9d9a90dc0c6f6c2336d7044eaf84bdcdf874f84b2795717aa15b47f58fda",
+    640: "e63e19212dc5747cb071f2409e2076436f98816007235659bc6dad588506d9ee",
+    0: "4214bc9deb314c4d4676756142ee4b0334cfcf9cbdd208fcb01500bca7056b54",
+}
+
+
+@pytest.mark.parametrize("count", sorted(MEM_EXPORT_SHA256))
+def test_seeded_mem_export_bytes_match_pin(tmp_path, count):
+    out = tmp_path / "m.smb"
+    assert main(["mem-export", "--capacity", "640", "--count", str(count),
+                 "--shape", "16", "8", "8", "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MEM_EXPORT_SHA256[count]
+
+
 def test_unrecognized_args_rejected(capsys):
     assert main(["mem-import", "x.smb", "--bogus.flag", "1"]) == 2
 

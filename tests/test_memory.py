@@ -171,7 +171,8 @@ def test_twins_across_the_matrix_vector_tail_tie_to_the_lower_slot():
         assert res.indices[:2] == [0, 4]
         assert res.scores[0] == res.scores[1]
         sims = memory._cosine_rows(base.mask_features, base.feature_norms,
-                                   (twin.mask_feature + rng.normal(size=shape)).ravel())
+                                   (twin.mask_feature + rng.normal(size=shape)).reshape(1, -1))
+        sims = sims[:, 0]
         assert sims[0] == sims[4]
         assert int(np.argmax(sims)) == 0
 
@@ -180,22 +181,26 @@ def test_each_cosine_row_scores_as_that_row_alone():
     """A row's cosine does not depend on the rows beside it, a zero-norm
     row (which scores 0) included, wherever that row sits, nor on the
     queries it is scored with: each column of a stack of queries, a zero
-    query among them, is that query's own call."""
+    query among them, is that query's own one-row stack."""
     rng = np.random.default_rng(25)
     for _ in range(200):
         n, d = int(rng.integers(2, 24)), int(rng.integers(1, 200))
         mat = rng.normal(size=(n, d))
         mat[rng.integers(n)] = 0.0
         norms = np.sqrt(np.add.reduce(mat**2, axis=-1))
-        vec = rng.normal(size=d)
+        vec = rng.normal(size=(1, d))
         sims = memory._cosine_rows(mat, norms, vec)
-        alone = [memory._cosine_rows(mat[i : i + 1], norms[i : i + 1], vec)[0] for i in range(n)]
-        assert sims.tolist() == alone
+        assert sims.shape == (n, 1)
+        alone = [memory._cosine_rows(mat[i : i + 1], norms[i : i + 1], vec)[0, 0]
+                 for i in range(n)]
+        assert sims[:, 0].tolist() == alone
         assert (sims[norms == 0] == 0).all()
         vecs = rng.normal(size=(int(rng.integers(1, 9)), d))
         vecs[rng.integers(len(vecs))] = 0.0
         stacked = memory._cosine_rows(mat, norms, vecs)
-        assert stacked.T.tolist() == [memory._cosine_rows(mat, norms, v).tolist() for v in vecs]
+        assert stacked.T.tolist() == [
+            memory._cosine_rows(mat, norms, v[None])[:, 0].tolist() for v in vecs
+        ]
 
 
 def test_retrieve_matches_oracle_randomized():
