@@ -5,6 +5,10 @@ simulate (episode runs), ablate (CSV sweep over capacity, retrieval rule and
 adapter), mem-export and mem-import (memory file round-trip).
 
 Exit codes: 0 success, 1 property violation, 2 usage/config error.
+Commands raise on bad input and ``main`` reports it as one stderr line,
+then exits 2: ``config error: <message>`` for a bad config key or value,
+``<command>: <message>`` for any other ValueError, OSError or MemoryError
+(a bad option value, memory file or output path, or an allocation numpy refuses).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .config import KEYS, ConfigError, load_config, parse_override_pairs
 from .episode import RETRIEVAL_MODES, run_episode
 from .memory import (
     MemoryEntry,
-    MemoryFileError,
     insert_or_replace,
     load_base,
     new_base,
@@ -41,23 +44,15 @@ EXIT_USAGE = 2
 # gradcheck
 
 
-def _gradcheck_usage_error(args) -> str | None:
-    # the rest (bottleneck, heads, tol, mutate) is checked by the
-    # parameter classes and grad_check, whose ValueError exits 2
-    if min(args.shape) < 1:
-        return f"--shape extents must be positive, got {args.shape}"
-    if args.trials < 1:
-        return "--trials must be >= 1"
-    if args.report and not Path(args.report).parent.is_dir():
-        return f"--report directory {Path(args.report).parent} does not exist"
-    return None
-
-
 def cmd_gradcheck(args) -> int:
-    problem = _gradcheck_usage_error(args)
-    if problem:
-        print(f"gradcheck: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+    # the rest (bottleneck, heads, tol, mutate) is checked by the
+    # parameter classes and grad_check
+    if min(args.shape) < 1:
+        raise ValueError(f"--shape extents must be positive, got {args.shape}")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.report and not Path(args.report).parent.is_dir():
+        raise ValueError(f"--report directory {Path(args.report).parent} does not exist")
     b, h, w, c, r = args.shape
     results = []
     worst = 0.0
@@ -65,13 +60,9 @@ def cmd_gradcheck(args) -> int:
     for i in range(args.trials):
         seed = args.seed + i
         rng = np.random.default_rng(seed)
-        try:
-            params = block_params(rng, c, bottleneck=r, num_heads=args.heads)
-            x = rng.normal(size=(b, h, w, c))
-            report = grad_check(params, x, tol=args.tol, mutate=args.mutate)
-        except ValueError as exc:
-            print(f"gradcheck: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        params = block_params(rng, c, bottleneck=r, num_heads=args.heads)
+        x = rng.normal(size=(b, h, w, c))
+        report = grad_check(params, x, tol=args.tol, mutate=args.mutate)
         worst = max(worst, report.max_rel_err)
         failed = failed or not report.passed
         results.append(
@@ -94,11 +85,7 @@ def cmd_gradcheck(args) -> int:
             "worst_max_rel_err": worst,
             "results": results,
         }
-        try:
-            Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2))
-        except OSError as exc:
-            print(f"gradcheck: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        Path(args.report).write_text(json.dumps(payload, sort_keys=True, indent=2))
         print(f"wrote {args.report}")
     return EXIT_VIOLATION if failed else EXIT_OK
 
@@ -114,19 +101,15 @@ def _config_from_args(args):
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report = run_episode(cfg.tasks(), cfg.memory, cfg.seeds, cfg.settings)
-        for row in report.per_seed:
-            path = out_dir / f"episode_seed{row['seed']}.json"
-            path.write_text(
-                json.dumps({"config": report.config, "result": row}, sort_keys=True, indent=2)
-            )
-        agg_path = out_dir / "aggregate.json"
-        agg_path.write_text(report.to_json())
-    except OSError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = run_episode(cfg.tasks(), cfg.memory, cfg.seeds, cfg.settings)
+    for row in report.per_seed:
+        path = out_dir / f"episode_seed{row['seed']}.json"
+        path.write_text(
+            json.dumps({"config": report.config, "result": row}, sort_keys=True, indent=2)
+        )
+    agg_path = out_dir / "aggregate.json"
+    agg_path.write_text(report.to_json())
     print(
         f"simulate: {len(report.per_seed)} seed(s), mean DSC"
         f" {report.aggregate['mean_dsc']:.4f}, mean forgetting"
@@ -159,39 +142,34 @@ def _ablate_cell(payload):
 
 def cmd_ablate(args) -> int:
     if args.workers < 1:
-        print(f"ablate: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = _config_from_args(args)
     cells = [(cfg, cell) for cell in itertools.product(*map(sorted, ABLATION_AXES.values()))]
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        if args.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            # the pool starts all its workers at once: no more than there are cells
-            with ProcessPoolExecutor(max_workers=min(args.workers, len(cells))) as pool:
-                rows = list(pool.map(_ablate_cell, cells))
-        else:
-            rows = [_ablate_cell(c) for c in cells]
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        meta = out.with_suffix(out.suffix + ".meta.json")
-        meta.write_text(
-            json.dumps(
-                {
-                    "effective_config": cfg.flat(),
-                    "axes": {axis: list(values) for axis, values in ABLATION_AXES.items()},
-                },
-                sort_keys=True,
-                indent=2,
-            )
+        # the pool starts all its workers at once: no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(cells))) as pool:
+            rows = list(pool.map(_ablate_cell, cells))
+    else:
+        rows = [_ablate_cell(c) for c in cells]
+    with open(out, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    meta = out.with_suffix(out.suffix + ".meta.json")
+    meta.write_text(
+        json.dumps(
+            {
+                "effective_config": cfg.flat(),
+                "axes": {axis: list(values) for axis, values in ABLATION_AXES.items()},
+            },
+            sort_keys=True,
+            indent=2,
         )
-    except OSError as exc:
-        print(f"ablate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    )
     print(f"ablate: wrote {len(rows)} cells to {out}")
     return EXIT_OK
 
@@ -202,31 +180,22 @@ def cmd_ablate(args) -> int:
 
 def cmd_mem_export(args) -> int:
     if args.count < 0:
-        print(f"mem-export: --count must be >= 0, got {args.count}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     rng = np.random.default_rng(args.seed)
     shape = tuple(args.shape)
-    try:
-        base = new_base(args.capacity, shape)
-        for i in range(min(args.count, args.capacity)):  # each entry draws F, PE, y, then E
-            f, pe, y = rng.normal(size=shape), rng.normal(size=shape), rng.normal()
-            insert_or_replace(base, MemoryEntry(f, pe, y, rng.normal(size=shape), f"export/{i}"))
-        save_base(base, args.out)
-    except (OSError, MemoryError, ValueError) as exc:
-        print(f"mem-export: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base = new_base(args.capacity, shape)
+    for i in range(min(args.count, args.capacity)):  # each entry draws F, PE, y, then E
+        f, pe, y = rng.normal(size=shape), rng.normal(size=shape), rng.normal()
+        insert_or_replace(base, MemoryEntry(f, pe, y, rng.normal(size=shape), f"export/{i}"))
+    save_base(base, args.out)
     print(f"mem-export: wrote {len(base)} entries (capacity {args.capacity}) to {args.out}")
     return EXIT_OK
 
 
 def cmd_mem_import(args) -> int:
-    try:
-        base = load_base(args.path)
-        if args.out:
-            save_base(base, args.out)
-    except (MemoryFileError, OSError, MemoryError) as exc:
-        print(f"mem-import: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base = load_base(args.path)
+    if args.out:
+        save_base(base, args.out)
     s = stats(base)
     print(
         f"mem-import: {s.count}/{s.capacity} entries, feature shape"
@@ -347,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from memseg import cli
 from memseg.adapter import grad_check
 from memseg.cli import main
 from memseg.config import KEYS, ConfigError, RunConfig, load_config, parse_override_pairs
@@ -398,6 +399,8 @@ def test_unrecognized_args_rejected(capsys):
         ["gradcheck", "--memory.k", "5"],
         ["gradcheck", "--heads", "0"],
         ["gradcheck", "--shape", "3", "4", "4", "8", "8"],
+        ["simulate", "--set", "memory.capacity=1000000000000"],
+        ["gradcheck", "--trials", "1", "--shape", "65535", "65535", "65535", "8", "4"],
     ],
     ids=["patch-0", "negative-noise", "heads-3", "gradcheck-heads-3",
          "gradcheck-mutate-nope", "export-capacity-neg", "import-bad-magic", "import-missing",
@@ -411,7 +414,7 @@ def test_unrecognized_args_rejected(capsys):
          "capacity-float", "k-bool", "sigma-bool", "import-huge-header", "import-version-1", "export-huge-base",
          "gradcheck-report-missing-dir", "ablate-workers-0", "ablate-workers-neg",
          "gradcheck-config-shorthand", "gradcheck-heads-0",
-         "gradcheck-bottleneck-wide"],
+         "gradcheck-bottleneck-wide", "capacity-too-big", "gradcheck-shape-too-big"],
 )
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "bad_magic.smb").write_bytes(b"NOPE" + bytes(64))
@@ -444,3 +447,29 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, name, error",
+    [
+        (["simulate", *TINY, "--out", "{tmp}/r"], "run_episode", ValueError),
+        (["ablate", "--workers", "1", *TINY, "--out", "{tmp}/abl.csv"], "run_episode", MemoryError),
+        (["gradcheck", "--trials", "1"], "grad_check", OSError),
+        (["mem-export", "--count", "1", "--out", "{tmp}/m.smb"], "save_base", OSError),
+        (["mem-import", "{tmp}/m.smb"], "load_base", ValueError),
+    ],
+    ids=["simulate", "ablate", "gradcheck", "mem-export", "mem-import"],
+)
+def test_every_command_reports_its_input_error_through_main(
+    argv, name, error, tmp_path, monkeypatch, capsys
+):
+    # the library call each command makes fails: main alone reports it,
+    # as one line naming the command, and exits 2
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, name, boom)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]}: boom\n"

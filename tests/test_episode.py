@@ -381,19 +381,22 @@ def test_episode_deterministic_byte_identical():
 @pytest.mark.parametrize("capacity", [640, 4])
 @pytest.mark.parametrize("retrieval", episode.RETRIEVAL_MODES)
 def test_memory_causality_prefix_equality(retrieval, capacity):
-    # streaming later tasks must not change earlier tasks' phase results,
-    # under every rule; capacity 4 is full after the first task, so the
-    # later tasks' inserts run the replacement path too
+    # streaming later tasks must not change earlier tasks' phase results or
+    # memory snapshots, for every prefix and under every rule; capacity 4 is
+    # full after the first task, so the later tasks' inserts run the
+    # replacement path too
     tasks = quick_tasks(3, corrupt=0.2)
     mem = MemoryConfig(capacity=capacity, retrieval=retrieval)
-    full = run_episode(tasks, mem, [7], FAST)
-    prefix = run_episode(tasks[:1], mem, [7], FAST)
-    snaps = full.per_seed[0]["memory_snapshots"]
+    full = run_episode(tasks, mem, [7], FAST).per_seed[0]
+    snaps = full["memory_snapshots"]
     assert (sum(s["replaced"] for s in snaps) > 0) == (capacity == 4)
-    row_full = full.per_seed[0]["per_task"][0]
-    row_prefix = prefix.per_seed[0]["per_task"][0]
-    for key in ("stream_dsc_mean", "stream_dsc_std", "mean_confidence", "dsc_before"):
-        assert row_full[key] == row_prefix[key], key
+    for p in (1, 2):
+        prefix = run_episode(tasks[:p], mem, [7], FAST).per_seed[0]
+        assert prefix["memory_snapshots"] == snaps[:p], p
+        for row_full, row_prefix in zip(full["per_task"][:p], prefix["per_task"], strict=True):
+            for key in ("stream_dsc_mean", "stream_dsc_std", "stream_frames",
+                        "mean_confidence", "dsc_before"):
+                assert row_full[key] == row_prefix[key], (p, key)
 
 
 def test_memory_fills_and_snapshots_monotone():
