@@ -121,11 +121,9 @@ KD = 3  # temporal extent of the seeded adapter's conv kernel
 SCALE = 0.5  # the seeded weights' standard deviation times sqrt(fan-in)
 
 
-def adapter_params(
-    rng: np.random.Generator, channels: int, bottleneck: int | None = None
-) -> AdapterParams:
-    """Seeded-random adapter weights; bottleneck defaults to C // 4."""
-    r = max(1, channels // 4) if bottleneck is None else bottleneck
+def adapter_params(rng: np.random.Generator, channels: int, bottleneck: int) -> AdapterParams:
+    """Seeded-random adapter weights with r = ``bottleneck`` hidden channels."""
+    r = bottleneck
     return AdapterParams(
         ln_gamma=np.ones(channels),
         ln_beta=np.zeros(channels),
@@ -149,7 +147,7 @@ def mlp_params(rng: np.random.Generator, channels: int) -> MlpParams:
 def block_params(
     rng: np.random.Generator,
     channels: int,
-    bottleneck: int | None = None,
+    bottleneck: int,
     num_heads: int = 2,
 ) -> BlockParams:
     """Seeded-random block weights for tests and the pipeline encoder."""
@@ -274,7 +272,9 @@ def block_forward(x, p: BlockParams) -> np.ndarray:
 
 
 def block_param_arrays(p: BlockParams) -> dict[str, np.ndarray]:
-    """Name -> array views of every learnable tensor in the block."""
+    """Name -> array views of every learnable tensor in the block.  After
+    "x", these names in this order key block_backward's gradients and
+    grad_check's report rows."""
     return {
         "ln1.gamma": p.ln1_gamma,
         "ln1.beta": p.ln1_beta,
@@ -298,58 +298,42 @@ def block_param_arrays(p: BlockParams) -> dict[str, np.ndarray]:
 
 def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
     """Analytic gradients of the block w.r.t. the input ("x") and every
-    parameter (keys of block_param_arrays), by chain rule."""
+    parameter (keys of block_param_arrays, in its order), by chain rule."""
     f = _forward(np.asarray(x, dtype=np.float64), p)
     x = f["x"]
     g = np.asarray(upstream_grad, dtype=np.float64)
     if g.shape != x.shape:
-        raise ShapeError(
-            f"upstream gradient shape {tuple(g.shape)} != input {tuple(x.shape)}"
-        )
+        raise ShapeError(f"upstream gradient shape {g.shape} != input {x.shape}")
+    d = dict.fromkeys(["x", *block_param_arrays(p)])
 
     # MLP branch
-    dz, dw2, db2 = linear_vjp(g, f["z"], p.mlp.w2)
+    dz, d["mlp.w2"], d["mlp.b2"] = linear_vjp(g, f["z"], p.mlp.w2)
     dm1 = dz * gelu_grad(f["m1"])
-    dh2, dw1, db1 = linear_vjp(dm1, f["h2"], p.mlp.w1)
-    dx_out_ln, dg2, db2_ln = layer_norm_vjp(dh2, f["x_out"], p.ln2_gamma, p.ln2_beta)
+    dh2, d["mlp.w1"], d["mlp.b1"] = linear_vjp(dm1, f["h2"], p.mlp.w1)
+    dx_out_ln, d["ln2.gamma"], d["ln2.beta"] = layer_norm_vjp(
+        dh2, f["x_out"], p.ln2_gamma, p.ln2_beta
+    )
     dx_out = g + dx_out_ln
 
     # adapter branch
-    ds, dw_up, _ = linear_vjp(dx_out, f["s"], p.adapter.w_up)
+    ds, d["adapter.w_up"], _ = linear_vjp(dx_out, f["s"], p.adapter.w_up)
     dconv = ds * gelu_grad(f["conv"])
-    ddown, dkernel = conv3d_vjp(dconv, f["down"], p.adapter.conv_kernel)
-    dha, dw_down, _ = linear_vjp(ddown, f["ha"], p.adapter.w_down)
-    dx_attn_ln, dga, dba = layer_norm_vjp(
+    ddown, d["adapter.conv_kernel"] = conv3d_vjp(dconv, f["down"], p.adapter.conv_kernel)
+    dha, d["adapter.w_down"], _ = linear_vjp(ddown, f["ha"], p.adapter.w_down)
+    dx_attn_ln, d["adapter.ln.gamma"], d["adapter.ln.beta"] = layer_norm_vjp(
         dha, f["x_attn"], p.adapter.ln_gamma, p.adapter.ln_beta
     )
     dx_attn = dx_out + dx_attn_ln
 
     # spatial self-attention over each frame's tokens
-    dh1, dwq, dwk, dwv, dwo = multi_head_attention_vjp(
-        dx_attn.reshape(f["tokens"].shape), f["tokens"], p.attn
+    dh1, d["attn.w_q"], d["attn.w_k"], d["attn.w_v"], d["attn.w_o"] = (
+        multi_head_attention_vjp(dx_attn.reshape(f["tokens"].shape), f["tokens"], p.attn)
     )
-    dx_ln, dg1, db1_ln = layer_norm_vjp(dh1.reshape(x.shape), x, p.ln1_gamma, p.ln1_beta)
-
-    return {
-        "x": dx_out + dx_ln,
-        "ln1.gamma": dg1,
-        "ln1.beta": db1_ln,
-        "attn.w_q": dwq,
-        "attn.w_k": dwk,
-        "attn.w_v": dwv,
-        "attn.w_o": dwo,
-        "adapter.ln.gamma": dga,
-        "adapter.ln.beta": dba,
-        "adapter.w_down": dw_down,
-        "adapter.conv_kernel": dkernel,
-        "adapter.w_up": dw_up,
-        "ln2.gamma": dg2,
-        "ln2.beta": db2_ln,
-        "mlp.w1": dw1,
-        "mlp.b1": db1,
-        "mlp.w2": dw2,
-        "mlp.b2": db2,
-    }
+    dx_ln, d["ln1.gamma"], d["ln1.beta"] = layer_norm_vjp(
+        dh1.reshape(x.shape), x, p.ln1_gamma, p.ln1_beta
+    )
+    d["x"] = dx_out + dx_ln
+    return d
 
 
 # ---------------------------------------------------------------------------

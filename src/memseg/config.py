@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .episode import EpisodeSettings, MemoryConfig, build_model, make_tasks
+from .memory import new_base
 from .synth import NoiseConfig
 
 
@@ -162,7 +163,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             for name, v in changes.items()
         })
         cfg.tasks()
-        build_model(cfg.settings)
+        enc_cfg, _ = build_model(cfg.settings)
+        new_base(cfg.memory.capacity, enc_cfg.feature_shape)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

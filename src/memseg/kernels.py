@@ -8,13 +8,13 @@ a different order from one along a contiguous axis; so their bits depend
 on the input's values only, never on its memory layout.  Forward kernels keep
 a floating or complex input's dtype (float64 in production, complex128 in
 the gradient check's complex step) and cast other inputs to float64; the
-``*_vjp`` companions used by the hand-written block backward pass work in
-float64.  The forward kernels the block runs are analytic -- layer norm
-squares with ``xc * xc``, softmax is invariant to its shift and GELU is a
-``tanh`` -- so on complex input they carry a directional derivative in
-the imaginary part; an ``abs`` or a ``maximum`` would break that.  Every
-exported operation is pure and deterministic: identical inputs give
-identical bits.
+``*_vjp`` companions and ``gelu_grad`` cast nothing: they take the float64
+arrays the hand-written block backward passes.  The forward kernels the
+block runs are analytic -- layer norm squares with ``xc * xc``, softmax is
+invariant to its shift and GELU is a ``tanh`` -- so on complex input they
+carry a directional derivative in the imaginary part; an ``abs`` or a
+``maximum`` would break that.  Every exported operation is pure and
+deterministic: identical inputs give identical bits.
 """
 
 from __future__ import annotations
@@ -128,8 +128,6 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-6) -> np.ndarray:
 
 def layer_norm_vjp(g, x, gamma, beta, eps: float = 1e-6):
     """Gradients of layer_norm w.r.t. (x, gamma, beta) given upstream g."""
-    x, gamma = np.asarray(x, dtype=np.float64), np.asarray(gamma, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
@@ -153,9 +151,6 @@ def layer_norm_vjp(g, x, gamma, beta, eps: float = 1e-6):
 
 def linear_vjp(g, x, w):
     """Gradients of y = x @ w + b over the last axis of x w.r.t. (x, w, b)."""
-    g = np.asarray(g, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
     dx = g @ w.T
     gf = g.reshape(-1, g.shape[-1])
     xf = x.reshape(-1, x.shape[-1])
@@ -202,9 +197,6 @@ def conv3d(x, kernel) -> np.ndarray:
 
 def conv3d_vjp(g, x, kernel):
     """Gradients of conv3d w.r.t. (x, kernel)."""
-    g = np.asarray(g, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
     kd, d = kernel.shape[0], x.shape[0]
     pd = kd // 2
     xp = np.pad(x, ((pd, pd), (0, 0), (0, 0), (0, 0)))
@@ -231,7 +223,6 @@ def softmax(x) -> np.ndarray:
 
 def softmax_vjp(g, y) -> np.ndarray:
     """Gradient of softmax given its output y and upstream g."""
-    g = np.asarray(g, dtype=np.float64)
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
@@ -267,7 +258,6 @@ def gelu(x) -> np.ndarray:
 
 
 def gelu_grad(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
@@ -339,8 +329,6 @@ def multi_head_attention_vjp(g, x, params: AttentionParams):
     """Gradients of self-attention, multi_head_attention(x, x, x), w.r.t.
     (x, w_q, w_k, w_v, w_o); x's gradient sums its query, key and value
     paths."""
-    g = np.asarray(g, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
     d = params.model_dim
     xf = x.reshape(-1, x.shape[-2], d)
     gf = g.reshape(-1, g.shape[-2], d)

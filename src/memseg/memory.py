@@ -213,7 +213,9 @@ def _cosine_rows(mat: np.ndarray, norms: np.ndarray, queries: np.ndarray) -> np.
     from that row and query alone, so a row scores the same wherever it
     sits in mat and whatever queries it is scored with; rows or queries
     with norm < 1e-12 score 0."""
-    qn = np.sqrt(np.vecdot(queries, queries))  # bit-equal to np.linalg.norm of each query
+    # each query's norm comes from that query alone; it may differ in the
+    # last bit from the row norm _seal caches for the same vector
+    qn = np.sqrt(np.vecdot(queries, queries))
     mat, norms = mat[:, None, :], norms[:, None]
     ok = (norms >= 1e-12) & (qn >= 1e-12)
     sims = np.divide(np.vecdot(mat, queries), norms * qn, out=np.zeros(ok.shape), where=ok)

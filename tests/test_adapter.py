@@ -224,8 +224,9 @@ UNIFORM_UPSTREAM_MUTANTS = {
     "residual-adds-one": ("dx_out = g + dx_out_ln", "dx_out = 1.0 + dx_out_ln"),
     "mlp-vjp-of-ones": ('linear_vjp(g, f["z"], p.mlp.w2)',
                         'linear_vjp(np.ones_like(g), f["z"], p.mlp.w2)'),
-    "b2-grad-is-row-count": ('"mlp.b2": db2,',
-                             '"mlp.b2": np.full_like(db2, g.size // g.shape[-1]),'),
+    "b2-grad-is-row-count": ('d["x"] = dx_out + dx_ln',
+                             'd["x"] = dx_out + dx_ln; d["mlp.b2"] ='
+                             ' np.full_like(d["mlp.b2"], g.size // g.shape[-1])'),
 }
 
 
@@ -249,6 +250,19 @@ def test_grad_check_fails_a_mutant_that_a_uniform_upstream_passes(
     for name, grad in right.items():
         assert np.array_equal(wrong[name], grad), name
     assert not mutant.grad_check(p, x).passed
+
+
+def test_block_backward_returns_one_gradient_per_name_in_order():
+    # "x" and then block_param_arrays' names, each an array of its own
+    # shape: a gradient the backward never fills in would be left as None
+    p = tiny_block(36)
+    x = np.random.default_rng(37).normal(size=(2, 2, 2, 4))
+    grads = block_backward(x, p, np.ones_like(x))
+    arrays = {"x": x, **block_param_arrays(p)}
+    assert list(grads) == list(arrays)
+    for name, arr in arrays.items():
+        assert isinstance(grads[name], np.ndarray), name
+        assert grads[name].shape == arr.shape, name
 
 
 def test_grad_check_zero_instance_trivially_passes():

@@ -10,10 +10,11 @@ import struct
 import warnings
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from memseg import cli
-from memseg.adapter import grad_check
+from memseg.adapter import block_param_arrays, block_params, grad_check
 from memseg.cli import main
 from memseg.config import KEYS, ConfigError, RunConfig, load_config, parse_override_pairs
 from memseg.episode import EpisodeSettings, MemoryConfig
@@ -145,15 +146,19 @@ def test_gradcheck_report_write_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_gradcheck_mutation_fails_with_exit_1(tmp_path, capsys):
+GRAD_NAMES = ["x", *block_param_arrays(block_params(np.random.default_rng(0), 4, 2))]
+
+
+@pytest.mark.parametrize("name", GRAD_NAMES)
+def test_gradcheck_mutation_fails_with_exit_1(name, tmp_path, capsys):
     report = tmp_path / "grad.json"
     rc = main([
         "gradcheck", "--trials", "1", "--shape", "2", "2", "2", "4", "2",
-        "--mutate", "adapter.w_up", "--report", str(report),
+        "--mutate", name, "--report", str(report),
     ])
     assert rc == 1
     payload = json.loads(report.read_text())
-    assert payload["results"][0]["failing"] == ["adapter.w_up"]
+    assert payload["results"][0]["failing"] == [name]
     # the default tolerance is A3's, in the command and in the library
     assert payload["tol"] == inspect.signature(grad_check).parameters["tol"].default == 1e-9
 
@@ -204,6 +209,18 @@ def test_later_override_wins_however_spelled(overrides, k, tmp_path):
 def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path), "--set", "nope=1"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_simulate_capacity_too_big_makes_no_out_dir(tmp_path, capsys):
+    # load_config builds the memory base, so the error comes before --out
+    # is created
+    out = tmp_path / "r"
+    argv = ["simulate", "--set", "memory.capacity=1000000000000", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: capacity 1000000000000 with feature shape (16, 8, 8)"
+                   " is too big to allocate"]
+    assert not out.exists()
 
 
 def test_bundled_example_config(tmp_path):
