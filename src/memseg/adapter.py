@@ -310,9 +310,7 @@ def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
     dz, d["mlp.w2"], d["mlp.b2"] = linear_vjp(g, f["z"], p.mlp.w2)
     dm1 = dz * gelu_grad(f["m1"])
     dh2, d["mlp.w1"], d["mlp.b1"] = linear_vjp(dm1, f["h2"], p.mlp.w1)
-    dx_out_ln, d["ln2.gamma"], d["ln2.beta"] = layer_norm_vjp(
-        dh2, f["x_out"], p.ln2_gamma, p.ln2_beta
-    )
+    dx_out_ln, d["ln2.gamma"], d["ln2.beta"] = layer_norm_vjp(dh2, f["x_out"], p.ln2_gamma)
     dx_out = g + dx_out_ln
 
     # adapter branch
@@ -321,7 +319,7 @@ def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
     ddown, d["adapter.conv_kernel"] = conv3d_vjp(dconv, f["down"], p.adapter.conv_kernel)
     dha, d["adapter.w_down"], _ = linear_vjp(ddown, f["ha"], p.adapter.w_down)
     dx_attn_ln, d["adapter.ln.gamma"], d["adapter.ln.beta"] = layer_norm_vjp(
-        dha, f["x_attn"], p.adapter.ln_gamma, p.adapter.ln_beta
+        dha, f["x_attn"], p.adapter.ln_gamma
     )
     dx_attn = dx_out + dx_attn_ln
 
@@ -329,9 +327,7 @@ def block_backward(x, p: BlockParams, upstream_grad) -> dict[str, np.ndarray]:
     dh1, d["attn.w_q"], d["attn.w_k"], d["attn.w_v"], d["attn.w_o"] = (
         multi_head_attention_vjp(dx_attn.reshape(f["tokens"].shape), f["tokens"], p.attn)
     )
-    dx_ln, d["ln1.gamma"], d["ln1.beta"] = layer_norm_vjp(
-        dh1.reshape(x.shape), x, p.ln1_gamma, p.ln1_beta
-    )
+    dx_ln, d["ln1.gamma"], d["ln1.beta"] = layer_norm_vjp(dh1.reshape(x.shape), x, p.ln1_gamma)
     d["x"] = dx_out + dx_ln
     return d
 

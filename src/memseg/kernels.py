@@ -126,7 +126,7 @@ def layer_norm(x, gamma=None, beta=None, eps: float = 1e-6) -> np.ndarray:
     return np.add(out, beta, out=_into(out, beta))
 
 
-def layer_norm_vjp(g, x, gamma, beta, eps: float = 1e-6):
+def layer_norm_vjp(g, x, gamma, eps: float = 1e-6):
     """Gradients of layer_norm w.r.t. (x, gamma, beta) given upstream g."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu

@@ -79,29 +79,21 @@ def _read_out(cfg: EncoderConfig) -> tuple[np.ndarray, float]:
     return w_dir, tau
 
 
-def sinusoidal_pe(channels: int, height: int, width: int, slice_index: int,
-                  amplitude: float = 1.0) -> np.ndarray:
-    """Deterministic positional encoding over (channel, row, column) with a
-    slice-index component, so frames at different depths get different PE."""
-    pe = np.zeros((channels, height, width))
-    rows = np.arange(height) / max(height, 1)
-    cols = np.arange(width) / max(width, 1)
+def sinusoidal_pe(channels: int, grid: int, slice_index: int) -> np.ndarray:
+    """Positional encoding of a square token grid, (channels, grid, grid).
+    Channel c has band b = c // 6 + 1; its mode c % 6 = 0, ..., 5 is sin, cos
+    of 2 pi b row / grid, sin, cos of 2 pi b column / grid, and sin, cos of
+    0.7 b slice_index, so frames at different depths get different PE."""
+    pe = np.zeros((channels, grid, grid))
+    pos = np.arange(grid) / grid
     for c in range(channels):
-        band = c // 6 + 1
-        mode = c % 6
-        if mode == 0:
-            pe[c] = np.sin(2 * np.pi * band * rows)[:, None]
-        elif mode == 1:
-            pe[c] = np.cos(2 * np.pi * band * rows)[:, None]
-        elif mode == 2:
-            pe[c] = np.sin(2 * np.pi * band * cols)[None, :]
-        elif mode == 3:
-            pe[c] = np.cos(2 * np.pi * band * cols)[None, :]
-        elif mode == 4:
-            pe[c] = math.sin(0.7 * band * slice_index)
+        band, mode = c // 6 + 1, c % 6
+        if mode < 4:  # mode // 2 is the axis the wave runs along
+            wave = (np.sin, np.cos)[mode % 2](2 * np.pi * band * pos)
+            pe[c] = np.expand_dims(wave, 1 - mode // 2)
         else:
-            pe[c] = math.cos(0.7 * band * slice_index)
-    return amplitude * pe
+            pe[c] = (math.sin, math.cos)[mode % 2](0.7 * band * slice_index)
+    return pe
 
 
 def _patch_tokens(features: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
@@ -126,7 +118,7 @@ def positional_encoding(cfg: EncoderConfig, slice_index: int) -> np.ndarray:
     projected out so positional signal entering attention values can never
     masquerade as mask evidence (the co-adaptation a trained model would
     exhibit).  Cached, so the array is read-only."""
-    pe = sinusoidal_pe(cfg.channels, cfg.grid, cfg.grid, slice_index, PE_AMPLITUDE)
+    pe = PE_AMPLITUDE * sinusoidal_pe(cfg.channels, cfg.grid, slice_index)
     w_dir, _ = _read_out(cfg)
     unit = w_dir / np.linalg.norm(w_dir)
     pe -= np.einsum("chw,c->hw", pe, unit)[None, :, :] * unit[:, None, None]
@@ -269,9 +261,8 @@ def predict(
     tokens_on = scores > tau
     up = tokens_on.repeat(cfg.patch_size, 0).repeat(cfg.patch_size, 1)
     x0, y0, x1, y1 = prompt
-    box = np.zeros_like(up)
-    box[y0:y1, x0:x1] = True
-    mask_hat = up & box
+    mask_hat = np.zeros_like(up)
+    mask_hat[y0:y1, x0:x1] = up[y0:y1, x0:x1]
 
     overlap = iou(mask_hat, frame.mask)
     y_hat = _logit(min(max(overlap, CONFIDENCE_CAP), 1.0 - CONFIDENCE_CAP))

@@ -136,16 +136,8 @@ def _corrupt_mask(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     axis = int(rng.integers(0, 2))
     damaged = np.roll(mask, shift, axis=axis)
     # rolling wraps; clear the wrapped band so the damage is a real shift
-    if axis == 0:
-        if shift > 0:
-            damaged[:shift] = 0
-        elif shift < 0:
-            damaged[shift:] = 0
-    else:
-        if shift > 0:
-            damaged[:, :shift] = 0
-        elif shift < 0:
-            damaged[:, shift:] = 0
+    band = slice(0, shift) if shift >= 0 else slice(shift, None)
+    np.moveaxis(damaged, axis, 0)[band] = 0
     erode = int(rng.integers(0, 3))
     for _ in range(erode):
         inner = damaged.copy()
@@ -193,19 +185,11 @@ def preprocess_stream(frames: list[Frame], min_edge_ratio: float = 0.5) -> list[
     out: list[Frame] = []
     for f in frames:
         h, w = f.mask.shape
-        if min(h, w) < min_edge_ratio * max(h, w):
+        if min(h, w) < min_edge_ratio * max(h, w) or not f.mask.any():
             continue
-        if not f.mask.any():
-            continue
-        if f.mask.dtype == bool:  # a non-empty bool mask is one class
+        if ((f.mask == 0) | (f.mask == 1)).all():  # one class, as every bool mask
             out.append(f)
-            continue
-        classes = sorted(int(c) for c in np.unique(f.mask) if c != 0)
-        if classes == [1]:
-            out.append(f)
-            continue
-        for c in classes:
-            out.append(
-                replace(f, mask=(f.mask == c).astype(f.mask.dtype))
-            )
+        else:  # np.unique sorts, so the classes come in ascending order
+            out.extend(replace(f, mask=(f.mask == c).astype(f.mask.dtype))
+                       for c in np.unique(f.mask) if c != 0)
     return out

@@ -17,6 +17,7 @@ from memseg.pipeline import (
     positional_encoding,
     predict,
     prompt_tokens,
+    sinusoidal_pe,
 )
 from memseg.synth import Frame, NoiseConfig, TaskSpec, gen_frame
 
@@ -93,6 +94,27 @@ def test_positional_encoding_orthogonal_to_read_out():
     pe = positional_encoding(CFG, 3)
     leak = np.einsum("chw,c->hw", pe, w_dir / np.linalg.norm(w_dir))
     assert np.abs(leak).max() < 1e-12
+
+
+@pytest.mark.parametrize("channels", [1, 6, 16, 17, 32])
+def test_sinusoidal_pe_channels_equal_their_formulas(channels):
+    # channel c has band c // 6 + 1; its mode c % 6 picks the term
+    for grid in (1, 2, 4, 8):
+        pos = np.arange(grid) / grid
+        for t in range(64):
+            pe = sinusoidal_pe(channels, grid, t)
+            assert pe.shape == (channels, grid, grid) and pe.dtype == np.float64
+            for c in range(channels):
+                band = c // 6 + 1
+                want = [
+                    np.sin(2 * np.pi * band * pos)[:, None],  # rows
+                    np.cos(2 * np.pi * band * pos)[:, None],
+                    np.sin(2 * np.pi * band * pos)[None, :],  # columns
+                    np.cos(2 * np.pi * band * pos)[None, :],
+                    math.sin(0.7 * band * t),  # depth
+                    math.cos(0.7 * band * t),
+                ][c % 6]
+                assert pe[c].tobytes() == np.broadcast_to(want, (grid, grid)).tobytes(), (c, t)
 
 
 def test_positional_encoding_cached_read_only():

@@ -1,9 +1,12 @@
 """Tests for the synthetic stream generator and preprocessing rules."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memseg import synth
 from memseg.synth import (
@@ -133,6 +136,22 @@ def test_zero_label_shift_only_erodes():
     assert zero_shifts > 0
 
 
+def test_corrupt_mask_bytes_match_pin():
+    # every size from the one where the shift can be 0 up to the episode's,
+    # both mask dtypes; each output hashes as its dtype, then its bytes
+    h = hashlib.sha256()
+    for size in (3, 4, 5, 6, 7, 8, 16, 32):
+        for seed in range(64):
+            drawn = np.random.default_rng([size, seed]).uniform(size=(size, size)) < 0.5
+            for dtype in (bool, np.uint8):
+                out = synth._corrupt_mask(drawn.astype(dtype), np.random.default_rng(seed))
+                h.update(out.dtype.str.encode())
+                h.update(out.tobytes())
+    assert h.hexdigest() == (
+        "31be19d42ed84083d1e5ddcc3234dbd3de168c573dc5fecb18c988fbcb0033b2"
+    )
+
+
 def test_rectangle_family():
     f = gen_frame(make_task(family="rectangle"), 0, 3)
     assert f.mask.sum() > 0
@@ -217,3 +236,50 @@ def test_preprocess_idempotent():
     for a, b in zip(once, twice):
         assert np.array_equal(a.mask, b.mask)
         assert a.slice_index == b.slice_index
+
+
+def preprocess_model(frames, min_edge_ratio=0.5):
+    """The three rules written out: drop thin or empty frames, keep a
+    one-class mask as it is, split the rest by ascending class value."""
+    out = []
+    for f in frames:
+        h, w = f.mask.shape
+        if min(h, w) < min_edge_ratio * max(h, w):
+            continue
+        classes = sorted({int(v) for v in f.mask.ravel()} - {0})
+        if not classes:
+            continue
+        if classes == [1]:
+            out.append(f)
+        else:
+            for c in classes:
+                split = np.array([[int(v) == c for v in row] for row in f.mask])
+                out.append(Frame(f.features, split.astype(f.mask.dtype),
+                                 f.slice_index, f.is_corrupted))
+    return out
+
+
+@st.composite
+def raw_frames(draw):
+    frames = []
+    for t in range(draw(st.integers(0, 6))):
+        h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        top = 1 if draw(st.booleans()) else 3
+        values = draw(st.lists(st.integers(0, top), min_size=h * w, max_size=h * w))
+        dtype = bool if top == 1 else np.uint8
+        mask = np.array(values).reshape(h, w).astype(dtype)
+        frames.append(Frame(np.zeros((h, w, 1)), mask, t, draw(st.booleans())))
+    return frames
+
+
+def stream_key(frames):
+    return [(f.slice_index, f.is_corrupted, f.mask.dtype.str, f.mask.shape, f.mask.tobytes())
+            for f in frames]
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_frames(), st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+def test_preprocess_equals_the_written_out_rules(frames, ratio):
+    once = preprocess_stream(frames, min_edge_ratio=ratio)
+    assert stream_key(once) == stream_key(preprocess_model(frames, ratio))
+    assert stream_key(preprocess_stream(once, min_edge_ratio=ratio)) == stream_key(once)
