@@ -187,9 +187,10 @@ def preprocess_stream(frames: list[Frame], min_edge_ratio: float = 0.5) -> list[
         h, w = f.mask.shape
         if min(h, w) < min_edge_ratio * max(h, w) or not f.mask.any():
             continue
-        if ((f.mask == 0) | (f.mask == 1)).all():  # one class, as every bool mask
+        # a non-empty bool mask is one class; np.unique sorts the others
+        classes = [1] if f.mask.dtype == bool else [int(c) for c in np.unique(f.mask) if c != 0]
+        if classes == [1]:
             out.append(f)
-        else:  # np.unique sorts, so the classes come in ascending order
-            out.extend(replace(f, mask=(f.mask == c).astype(f.mask.dtype))
-                       for c in np.unique(f.mask) if c != 0)
+        else:
+            out.extend(replace(f, mask=(f.mask == c).astype(f.mask.dtype)) for c in classes)
     return out
